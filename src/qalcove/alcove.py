@@ -64,6 +64,7 @@ class RootChain:
     mu: Vec | None  # set only when the chain is a mu-chain
 
 
+@lru_cache(maxsize=None)
 def make_chain(kind: str, k: int, n: int) -> RootChain:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -200,9 +201,7 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     Depth-first over positions, pruning on edge existence; results are
     memoized on (w, chain) inside the QBG instance.
     """
-    cache = getattr(qbg, "_adm_cache", None)
-    if cache is None:
-        cache = qbg._adm_cache = {}
+    cache = qbg._adm_cache
     key = (w, chain)
     hit = cache.get(key)
     if hit is not None:

@@ -80,8 +80,11 @@ def _parse_xi(text: str | None, n: int):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -110,7 +113,7 @@ def _run_instance(task) -> VerificationReport:
     if variant == "key":
         return verify_key_props(qbg, w, m)
     if variant == "cf":
-        t0 = time.time()
+        t0 = time.perf_counter()
         x = (w, xi)
         lhs = ic_rhs_cancel_free_first(qbg, x, m)
         rhs = ic_rhs_first(qbg, x, m)
@@ -133,7 +136,7 @@ def _cmd_verify(args) -> int:
     if args.sample:
         rng = random.Random(args.seed)
         tasks = rng.sample(tasks, min(args.sample, len(tasks)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.jobs > 1:
         with mp.Pool(args.jobs, initializer=_init_worker, initargs=(n,)) as pool:
             reports = pool.map(_run_instance, tasks, chunksize=4)
@@ -142,7 +145,7 @@ def _cmd_verify(args) -> int:
         reports = [_run_instance(t) for t in tasks]
     reports.sort(key=lambda r: r.instance)
     ok = all(r.ok for r in reports)
-    took = time.time() - t0
+    took = time.perf_counter() - t0
     if args.format == "json":
         text = json.dumps({"ok": ok, "seconds": round(took, 3),
                            "reports": [r.to_json() for r in reports]}, indent=2)
@@ -366,15 +369,21 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read --config {path}: {exc.strerror}") from exc
     pairs = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            pairs[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        pairs[key.strip().replace("-", "_")] = val.strip()
     rest = argv[:i] + argv[i + 2:]
     extra = []
     for key, val in pairs.items():
@@ -391,9 +400,10 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    argv = _apply_config(ap, argv)
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(_apply_config(ap, argv))
+        if args.rank < 1:
+            raise ValueError(f"--rank must be at least 1, got {args.rank}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ sides for the inverse problem, expanding e^{+-w(eps_m)} gch V_{w t_xi}(lam)
 back into characters at the shifted weights lam +- eps_j:
 
 * ``ic_rhs_first`` / ``ic_rhs_second``  -- alternating sums over decreasing
-  letter sequences and chained filtered admissible subsets;
+  letter sequences and chained filtered admissible subsets, evaluated per
+  target letter by the memoized recursion ``chained_sum``;
 * ``ic_rhs_cancel_free_first``          -- collapsed form, one directed path
   per target letter;
 * ``ic_rhs_conjecture_second``          -- collapsed second form whose
@@ -14,7 +15,9 @@ back into characters at the shifted weights lam +- eps_j:
 
 Everything returns a ``DemazureCombo`` keyed by (window, weight shift); the
 ``*_terms`` generators stream the individual summands, each a symbol times a
-single signed monomial, before any cancellation occurs.
+single signed monomial, before any cancellation occurs.  Every summand comes
+from ``_block``: one signed term per admissible subset of the gamma or
+theta chain of a target letter.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    cache = qbg.__dict__.setdefault("_chev_cache", {})
+    cache = qbg._chev_cache
     key = (w, sign, k)
     if key not in cache:
         chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
@@ -163,9 +166,97 @@ def chained_filtered(qbg: QBG, w: Window, src: int,
             yield end, vec_add(A.down, d), s * s2
 
 
+ChainedSum = dict[AffinePair, int]
+
+
+def chained_sum(qbg: QBG, w: Window, src: int, dst: int) -> ChainedSum:
+    """The chained filtered sums over every sequence src -> dst, tallied.
+
+    Maps (end, total down) to the signed count of the products that
+    ``chained_filtered`` streams along the sequences of ``enumerate_S``;
+    zero counts are dropped.  It recurses over the next letter a with
+    dst <= a < src: each A in filtered_A(w, src, a) contributes
+    (-1)^{|A|-1} times chained_sum(ed(A), a, dst) shifted by down(A), where
+    src == dst is the empty sequence {(w, 0): 1}.  Results are memoized on
+    the QBG and shared, so callers must not mutate them.
+    """
+    cache = qbg._chained_sums
+    key = (w, src, dst)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    n = qbg.n
+    ps, pd = letter_pos(src, n), letter_pos(dst, n)
+    if pd > ps:
+        raise ValueError(f"dst {dst} must not follow src {src}")
+    if pd == ps:
+        out = {(w, zero_vec(n)): 1}
+    else:
+        acc: ChainedSum = {}
+        for p in range(pd, ps):
+            a = letter_from_pos(p, n)
+            for A in filtered_A(qbg, w, src, a):
+                s = _sign(len(A.positions) - 1)
+                for (v, d), c in chained_sum(qbg, A.end, a, dst).items():
+                    k = (v, vec_add(A.down, d))
+                    acc[k] = acc.get(k, 0) + s * c
+        out = {k: c for k, c in acc.items() if c}
+    cache[key] = out
+    return out
+
+
 def _check_m(n: int, m: int):
     if not 1 <= m <= n:
         raise ValueError(f"m must be in 1..{n}, got {m}")
+
+
+def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1) -> Iterator[Term]:
+    """Signed summands of the block from v for the target letter t.
+
+    An unbarred t sums over Gamma_t(t) and lands at lam + eps_t; a barred
+    t = -j sums over Theta_j and lands at lam - eps_j.  Each subset B gives
+    s (-1)^{|B|} q^{<eps_t, dxi>} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
+    """
+    n = qbg.n
+    mu = eps_vec(t, n) if t > 0 else vec_neg(eps_vec(-t, n))
+    chain = make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
+    qe = pair(mu, dxi)
+    for B in admissible_subsets(qbg, v, chain):
+        c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe)
+        yield (B.end, vec_add(B.down, dxi)), mu, c
+
+
+def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+    """Blocks for dst after every sequence and chained product, one by one."""
+    for seq in enumerate_S(src, dst, qbg.n):
+        for v, d, s in chained_filtered(qbg, w, src, seq):
+            yield from _block(qbg, v, dst, vec_add(d, xi), s)
+
+
+def _summed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+    """The same blocks, one per ``chained_sum`` entry, scaled by its count."""
+    for (v, d), c in chained_sum(qbg, w, src, dst).items():
+        yield from _block(qbg, v, dst, vec_add(d, xi), c)
+
+
+def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+    """The block for dst after the single directed path ``p_path``."""
+    p = qbg.p_path(w, src, dst)
+    yield from _block(qbg, p.end, dst, vec_add(p.weight, xi))
+
+
+def _inverse_terms(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
+                   chained) -> Iterator[Term]:
+    """The block for src from w, then the chained blocks for each dst."""
+    w, xi = x
+    yield from _block(qbg, w, src, xi)
+    for dst in dsts:
+        yield from chained(qbg, w, xi, src, dst)
+
+
+def _second_dsts(n: int, m: int, l: int) -> list[int]:
+    """Chained targets of the second form: -(m+1)..-n, then 1..l."""
+    return [-j for j in range(m + 1, n + 1)] + list(range(1, l + 1))
 
 
 def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
@@ -175,23 +266,8 @@ def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     each j < m, chained filtered subsets along every decreasing sequence
     from m to j feed a block landing at lam + eps_j.
     """
-    w, xi = x
-    n = qbg.n
-    _check_m(n, m)
-    em = eps_vec(m, n)
-    q0 = pair(em, xi)
-    for B in admissible_subsets(qbg, w, make_chain("gamma", m, n)):
-        c = Coeff.monomial(n, _sign(len(B.positions)), q=q0)
-        yield (B.end, vec_add(B.down, xi)), em, c
-    for j in range(1, m):
-        ej = eps_vec(j, n)
-        for seq in enumerate_S(m, j, n):
-            for v, d, s in chained_filtered(qbg, w, m, seq):
-                dxi = vec_add(d, xi)
-                qe = pair(ej, dxi)
-                for B in admissible_subsets(qbg, v, make_chain("gamma", j, n)):
-                    c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe)
-                    yield (B.end, vec_add(B.down, dxi)), ej, c
+    _check_m(qbg.n, m)
+    yield from _inverse_terms(qbg, x, m, range(1, m), _streamed)
 
 
 def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
@@ -200,31 +276,9 @@ def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     Blocks land at lam - eps_m directly, at lam - eps_j for barred targets
     j = m+1..n, and at lam + eps_j for unbarred targets j = 1..n.
     """
-    w, xi = x
     n = qbg.n
     _check_m(n, m)
-    em = eps_vec(m, n)
-    for B in admissible_subsets(qbg, w, make_chain("theta", m, n)):
-        c = Coeff.monomial(n, _sign(len(B.positions)), q=-pair(em, xi))
-        yield (B.end, vec_add(B.down, xi)), vec_neg(em), c
-    for j in range(m + 1, n + 1):
-        ej = eps_vec(j, n)
-        for seq in enumerate_S(-m, -j, n):
-            for v, d, s in chained_filtered(qbg, w, -m, seq):
-                dxi = vec_add(d, xi)
-                qe = -pair(ej, dxi)
-                for B in admissible_subsets(qbg, v, make_chain("theta", j, n)):
-                    c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe)
-                    yield (B.end, vec_add(B.down, dxi)), vec_neg(ej), c
-    for j in range(1, n + 1):
-        ej = eps_vec(j, n)
-        for seq in enumerate_S(-m, j, n):
-            for v, d, s in chained_filtered(qbg, w, -m, seq):
-                dxi = vec_add(d, xi)
-                qe = pair(ej, dxi)
-                for B in admissible_subsets(qbg, v, make_chain("gamma", j, n)):
-                    c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe)
-                    yield (B.end, vec_add(B.down, dxi)), ej, c
+    yield from _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _streamed)
 
 
 def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
@@ -233,22 +287,8 @@ def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     The chained sums of ``ic_first_terms`` collapse to a single directed
     path per target letter j, with q-exponent read off the path weight.
     """
-    w, xi = x
-    n = qbg.n
-    _check_m(n, m)
-    em = eps_vec(m, n)
-    q0 = pair(em, xi)
-    for B in admissible_subsets(qbg, w, make_chain("gamma", m, n)):
-        c = Coeff.monomial(n, _sign(len(B.positions)), q=q0)
-        yield (B.end, vec_add(B.down, xi)), em, c
-    for j in range(1, m):
-        ej = eps_vec(j, n)
-        p = qbg.p_path(w, m, j)
-        dxi = vec_add(p.weight, xi)
-        qe = pair(ej, dxi)
-        for B in admissible_subsets(qbg, p.end, make_chain("gamma", j, n)):
-            c = Coeff.monomial(n, _sign(len(B.positions)), q=qe)
-            yield (B.end, vec_add(B.down, dxi)), ej, c
+    _check_m(qbg.n, m)
+    yield from _inverse_terms(qbg, x, m, range(1, m), _collapsed)
 
 
 def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
@@ -258,31 +298,11 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
     Barred blocks use the directed path to each -k, k = m+1..n; unbarred
     blocks use the path to each k = 1..l, for a chosen m <= l <= n.
     """
-    w, xi = x
     n = qbg.n
     _check_m(n, m)
     if not m <= l <= n:
         raise ValueError(f"l must be in {m}..{n}, got {l}")
-    em = eps_vec(m, n)
-    for B in admissible_subsets(qbg, w, make_chain("theta", m, n)):
-        c = Coeff.monomial(n, _sign(len(B.positions)), q=-pair(em, xi))
-        yield (B.end, vec_add(B.down, xi)), vec_neg(em), c
-    for k in range(m + 1, n + 1):
-        ek = eps_vec(k, n)
-        p = qbg.p_path(w, -m, -k)
-        dxi = vec_add(p.weight, xi)
-        qe = -pair(ek, dxi)
-        for B in admissible_subsets(qbg, p.end, make_chain("theta", k, n)):
-            c = Coeff.monomial(n, _sign(len(B.positions)), q=qe)
-            yield (B.end, vec_add(B.down, dxi)), vec_neg(ek), c
-    for k in range(1, l + 1):
-        ek = eps_vec(k, n)
-        p = qbg.p_path(w, -m, k)
-        dxi = vec_add(p.weight, xi)
-        qe = pair(ek, dxi)
-        for B in admissible_subsets(qbg, p.end, make_chain("gamma", k, n)):
-            c = Coeff.monomial(n, _sign(len(B.positions)), q=qe)
-            yield (B.end, vec_add(B.down, dxi)), ek, c
+    yield from _inverse_terms(qbg, x, -m, _second_dsts(n, m, l), _collapsed)
 
 
 def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
@@ -294,11 +314,16 @@ def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:
-    return fold_terms(qbg.n, ic_first_terms(qbg, x, m))
+    """fold_terms(ic_first_terms), with the sequence sums from ``chained_sum``."""
+    _check_m(qbg.n, m)
+    return fold_terms(qbg.n, _inverse_terms(qbg, x, m, range(1, m), _summed))
 
 
 def ic_rhs_second(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:
-    return fold_terms(qbg.n, ic_second_terms(qbg, x, m))
+    """fold_terms(ic_second_terms), with the sequence sums from ``chained_sum``."""
+    n = qbg.n
+    _check_m(n, m)
+    return fold_terms(n, _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))
 
 
 def ic_rhs_cancel_free_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

@@ -80,11 +80,7 @@ class DirectedPath:
 
     @property
     def weight(self) -> Vec:
-        acc = zero_vec(len(self.start))
-        for alpha, kind in self.steps:
-            if kind == "Q":
-                acc = vec_add(acc, coroot(alpha))
-        return acc
+        return path_weight(self.steps, len(self.start))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -103,6 +99,10 @@ class QBG:
         self._edges_from: dict[Window, list[tuple[Vec, str, Window]]] = {}
         self._rev: dict[Window, list[tuple[Window, Vec, str]]] | None = None
         self._dist_to: dict[Window, dict[Window, int]] = {}
+        # memo tables of the alcove and expansions layers, keyed by element
+        self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
+        self._chev_cache: dict = {}      # (w, sign, k) -> chevalley_expand
+        self._chained_sums: dict = {}    # (w, src, dst) -> chained_sum
 
     # -- edges ---------------------------------------------------------
 

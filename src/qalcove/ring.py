@@ -205,10 +205,6 @@ class RationalCoeff:
         self.atoms = tuple(atoms)
 
     @classmethod
-    def from_coeff(cls, c: Coeff) -> "RationalCoeff":
-        return cls(c)
-
-    @classmethod
     def zero(cls, n: int) -> "RationalCoeff":
         return cls(Coeff.zero(n))
 
@@ -392,14 +388,6 @@ def _mu_str(mu: Vec) -> str:
             mag = "" if abs(c) == 1 else str(abs(c))
             parts.append(f"{sign}{mag}e{i}")
     return "".join(parts)
-
-
-def combo_add(a: DemazureCombo, b: DemazureCombo) -> DemazureCombo:
-    return a + b
-
-
-def combo_scale(a: DemazureCombo, rc) -> DemazureCombo:
-    return a.scale(rc)
 
 
 def clear_denominators(a: DemazureCombo, b: DemazureCombo):

@@ -189,11 +189,11 @@ def test_criterion_4_cancellation_free_equivalence(qbg3):
              "instances; every collapsed stream is cancellation-free", t0)
 
 
-def test_criterion_5_conjecture_experiment(qbg3):
+def test_criterion_5_conjecture_experiment(qbg3, tmp_path):
     t0 = time.time()
     res = conjecture_scan(qbg3)
     if res.counterexamples:
-        dump = Path(__file__).parent / "conjecture_counterexamples.json"
+        dump = tmp_path / "conjecture_counterexamples.json"
         dump.write_text(json.dumps(res.to_json(), indent=2))
         raise AssertionError(f"instances with empty l-set; scan dumped to {dump}")
     # the two worked instances

@@ -103,6 +103,18 @@ def test_verify_bad_window_is_exit_2(capsys):
     assert "window rank" in err
 
 
+def _assert_bad_input(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rank_0_is_exit_2(capsys):
+    code, out, err = run(["verify", "--rank", "0"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--rank" in err
+
+
 def test_verify_unknown_variant(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--rank", "2", "--variant", "bogus"])
@@ -204,6 +216,28 @@ def test_config_does_not_override_explicit_flag(tmp_path, capsys):
     code, out, _ = run(["--config", str(cfg), "qbg", "--rank", "2"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("qbg rank 2")
+
+
+def test_config_without_path_is_exit_2(capsys):
+    code, out, err = run(["verify", "--config"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--config" in err
+
+
+def test_missing_config_file_is_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    code, out, err = run(["--config", str(missing), "verify", "--rank", "2"],
+                         capsys)
+    _assert_bad_input(code, out, err)
+    assert str(missing) in err
+
+
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    dest = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                          "--out", str(dest)], capsys)
+    _assert_bad_input(code, out, err)
+    assert str(dest) in err and not dest.exists()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
