@@ -195,6 +195,48 @@ class AdmissibleSubset:
         return len(self.positions)
 
 
+# A walk state is (u, t, down, n_neg, height): the current element, the
+# translation accumulated for wt, and the running statistics.
+_State = tuple[Window, Vec, Vec, int, int]
+
+
+def _start(w: Window, n: int) -> _State:
+    return w, zero_vec(n), zero_vec(n), 0, 0
+
+
+def _levels(chain: RootChain) -> tuple[int, ...] | None:
+    return alcove_walk(chain).levels if chain.mu is not None else None
+
+
+def _step(qbg: QBG, chain: RootChain, levels, i: int, state: _State) -> _State | None:
+    """The state after taking chain position i + 1, or None without an edge."""
+    u, t, down, n_neg, height = state
+    gamma = chain.entries[i]
+    alpha = root_abs(gamma)
+    kind = qbg.edge_kind(u, alpha)
+    if kind is None:
+        return None
+    mu = chain.mu
+    positive = is_positive_root(gamma)
+    if mu is not None:
+        c = -levels[i]
+        t = tuple(a + c * b for a, b in zip(t, act(u, gamma), strict=True))
+    if kind == "Q":
+        down = tuple(a + b for a, b in zip(down, coroot(alpha), strict=True))
+        if mu is not None:
+            sg = 1 if positive else -1
+            height += sg * (pair(mu, coroot(gamma)) - levels[i])
+    return mul(u, refl_window(alpha)), t, down, n_neg + (0 if positive else 1), height
+
+
+def _subset(w: Window, chain: RootChain, positions, state: _State) -> AdmissibleSubset:
+    u, t, down, n_neg, height = state
+    if chain.mu is None:
+        return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg)
+    wt = tuple(a - b for a, b in zip(act(u, chain.mu), t, strict=True))
+    return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg, wt, height)
+
+
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
     """All w-admissible subsets of the chain, with cached statistics.
 
@@ -207,46 +249,22 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     if hit is not None:
         return hit
 
-    n = chain.n
-    mu = chain.mu
-    levels = alcove_walk(chain).levels if mu is not None else None
-    entries = chain.entries
+    levels = _levels(chain)
+    size = len(chain.entries)
     out: list[AdmissibleSubset] = []
 
-    def close(taken, u, t, down, n_neg, height):
-        if mu is not None:
-            wt = tuple(a - b for a, b in zip(act(u, mu), t, strict=True))
-            out.append(AdmissibleSubset(w, chain, tuple(taken), u, down, n_neg, wt, height))
-        else:
-            out.append(AdmissibleSubset(w, chain, tuple(taken), u, down, n_neg))
-
-    def rec(i, taken, u, t, down, n_neg, height):
-        if i == len(entries):
-            close(taken, u, t, down, n_neg, height)
+    def rec(i, taken, state):
+        if i == size:
+            out.append(_subset(w, chain, taken, state))
             return
-        rec(i + 1, taken, u, t, down, n_neg, height)
-        gamma = entries[i]
-        alpha = root_abs(gamma)
-        kind = qbg.edge_kind(u, alpha)
-        if kind is None:
-            return
-        taken.append(i + 1)
-        if mu is not None:
-            c = -levels[i]
-            t2 = tuple(a + c * b for a, b in zip(t, act(u, gamma), strict=True))
-        else:
-            t2 = t
-        u2 = mul(u, refl_window(alpha))
-        down2, h2 = down, height
-        if kind == "Q":
-            down2 = tuple(a + b for a, b in zip(down, coroot(alpha), strict=True))
-            if mu is not None:
-                sg = 1 if is_positive_root(gamma) else -1
-                h2 = height + sg * (pair(mu, coroot(gamma)) - levels[i])
-        rec(i + 1, taken, u2, t2, down2, n_neg + (0 if is_positive_root(gamma) else 1), h2)
-        taken.pop()
+        rec(i + 1, taken, state)
+        nxt = _step(qbg, chain, levels, i, state)
+        if nxt is not None:
+            taken.append(i + 1)
+            rec(i + 1, taken, nxt)
+            taken.pop()
 
-    rec(0, [], w, zero_vec(n), zero_vec(n), 0, 0)
+    rec(0, [], _start(w, chain.n))
     out.sort(key=lambda s: s.positions)
     cache[key] = out
     return out
@@ -254,33 +272,13 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:
     """Statistics of one subset, verifying admissibility along the way."""
-    n = chain.n
-    mu = chain.mu
-    levels = alcove_walk(chain).levels if mu is not None else None
-    u, t = w, zero_vec(n)
-    down, n_neg, height = zero_vec(n), 0, 0
+    levels = _levels(chain)
+    state = _start(w, chain.n)
     for p in positions:
-        gamma = chain.entries[p - 1]
-        alpha = root_abs(gamma)
-        kind = qbg.edge_kind(u, alpha)
-        if kind is None:
+        state = _step(qbg, chain, levels, p - 1, state)
+        if state is None:
             raise ValueError(f"positions {positions} not admissible from {w}")
-        if mu is not None:
-            c = -levels[p - 1]
-            t = tuple(a + c * b for a, b in zip(t, act(u, gamma), strict=True))
-        if kind == "Q":
-            down = tuple(a + b for a, b in zip(down, coroot(alpha), strict=True))
-            if mu is not None:
-                sg = 1 if is_positive_root(gamma) else -1
-                height += sg * (pair(mu, coroot(gamma)) - levels[p - 1])
-        if not is_positive_root(gamma):
-            n_neg += 1
-        u = mul(u, refl_window(alpha))
-    wt = None
-    if mu is not None:
-        wt = tuple(a - b for a, b in zip(act(u, mu), t, strict=True))
-        return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg, wt, height)
-    return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg)
+    return _subset(w, chain, positions, state)
 
 
 def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset]:

@@ -32,7 +32,7 @@ from .expansions import (
     ic_rhs_second,
 )
 from .qbg import QBG
-from .ring import DemazureCombo, clear_denominators
+from .ring import DemazureCombo
 from .typec import (
     alpha_coords,
     parse_window,
@@ -47,13 +47,25 @@ from .verify import (
     VerificationReport,
     combo_latex,
     conjecture_scan,
+    verify_cancel_free,
     verify_first_half,
-    verify_second_half,
     verify_key_props,
-    _compare,
+    verify_second_half,
 )
 
-VARIANTS = ("first", "second", "key", "cf")
+# The largest --rank accepted: QBG(6) (46 080 elements) builds in about 10 s,
+# while rank 7 has 645 120 elements and rank 9 185 million.
+MAX_RANK = 6
+
+# variant -> verifier(qbg, w, m, xi).  Each entry calls its verifier through
+# this module's global name, so a wrapper patched onto that name is used.
+VERIFIERS = {
+    "first": lambda qbg, w, m, xi: verify_first_half(qbg, w, m, xi),
+    "second": lambda qbg, w, m, xi: verify_second_half(qbg, w, m, xi),
+    "key": lambda qbg, w, m, xi: verify_key_props(qbg, w, m),
+    "cf": lambda qbg, w, m, xi: verify_cancel_free(qbg, w, m, xi),
+}
+VARIANTS = tuple(VERIFIERS)
 
 
 # -- shared helpers --------------------------------------------------------
@@ -78,17 +90,6 @@ def _parse_xi(text: str | None, n: int):
     return xi
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
-    else:
-        print(text)
-
-
 def _word_and_window(w) -> str:
     return f"{word_str(reduced_word(w))} {window_str(w)}"
 
@@ -105,33 +106,20 @@ def _init_worker(n: int):
 
 def _run_instance(task) -> VerificationReport:
     variant, w, m, xi = task
-    qbg = _WORKER_QBG
-    if variant == "first":
-        return verify_first_half(qbg, w, m, xi)
-    if variant == "second":
-        return verify_second_half(qbg, w, m, xi)
-    if variant == "key":
-        return verify_key_props(qbg, w, m)
-    if variant == "cf":
-        t0 = time.perf_counter()
-        x = (w, xi)
-        lhs = ic_rhs_cancel_free_first(qbg, x, m)
-        rhs = ic_rhs_first(qbg, x, m)
-        inst = f"cancel-free w={window_str(w)} m={m} xi={window_str(xi)}"
-        return _compare(inst, lhs, rhs, t0)
-    raise ValueError(f"unknown variant {variant!r}")
+    return VERIFIERS[variant](_WORKER_QBG, w, m, xi)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     n = args.rank
-    qbg = QBG(n)
     variants = [v.strip() for v in args.variant.split(",")]
     for v in variants:
-        if v not in VARIANTS:
-            raise SystemExit(f"unknown variant {v!r}; choose from {VARIANTS}")
-    elements = [_parse_elt(args.w, n)] if args.w else list(qbg.group)
-    ms = [args.m] if args.m else list(range(1, n + 1))
+        if v not in VERIFIERS:
+            raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
+    w = _parse_elt(args.w, n) if args.w else None
     xi = _parse_xi(args.xi, n)
+    qbg = QBG(n)
+    elements = [w] if w else list(qbg.group)
+    ms = [args.m] if args.m else list(range(1, n + 1))
     tasks = [(v, w, m, xi) for v in variants for w in elements for m in ms]
     if args.sample:
         rng = random.Random(args.seed)
@@ -162,17 +150,16 @@ def _cmd_verify(args) -> int:
         lines.append(f"{sum(r.ok for r in reports)}/{len(reports)} verified "
                      f"in {took:.2f}s")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if ok else 1
+    return text, 0 if ok else 1
 
 
 # -- scan-conjecture ---------------------------------------------------------
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[str, int]:
     n = args.rank
-    qbg = QBG(n)
     elements = [_parse_elt(args.w, n)] if args.w else None
+    qbg = QBG(n)
     ms = [args.m] if args.m else None
     res = conjecture_scan(qbg, ms=ms, elements=elements)
     if args.format == "json":
@@ -186,8 +173,7 @@ def _cmd_scan(args) -> int:
         lines.append(f"counterexamples: {len(res.counterexamples)}")
         lines.append(f"every l-set meets {{m, n}}: {res.expectation_holds}")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0 if not res.counterexamples else 1
+    return text, 0 if not res.counterexamples else 1
 
 
 # -- tables ------------------------------------------------------------------
@@ -230,19 +216,18 @@ def table_lines(qbg: QBG, which: int) -> list[str]:
     return lines
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple[str, int]:
     if args.rank != 3:
-        raise SystemExit("the reference tables are rank-3 data; use --rank 3")
+        raise ValueError("the reference tables are rank-3 data; use --rank 3")
     qbg = QBG(3)
     sections = ["\n".join(table_lines(qbg, t)) for t in (1, 2, 3)]
-    _emit("\n\n".join(sections), args.out)
-    return 0
+    return "\n\n".join(sections), 0
 
 
 # -- qbg export ---------------------------------------------------------------
 
 
-def _cmd_qbg(args) -> int:
+def _cmd_qbg(args) -> tuple[str, int]:
     qbg = QBG(args.rank)
     edges = []
     for w in qbg.group:
@@ -262,8 +247,7 @@ def _cmd_qbg(args) -> int:
         for w, r, k, y in edges:
             lines.append(f"{window_str(w)} -{k}-> {window_str(y)}  {r}")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return 0
+    return text, 0
 
 
 # -- expand --------------------------------------------------------------------
@@ -277,33 +261,29 @@ def _combo_text(combo: DemazureCombo, fmt: str) -> str:
     return str(combo)
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[str, int]:
     n = args.rank
-    qbg = QBG(n)
     w = _parse_elt(args.w, n) if args.w else tuple(range(1, n + 1))
     xi = _parse_xi(args.xi, n)
+    if args.k is None and args.m is None:
+        raise ValueError("need --k (direct form) or --m (inverse forms)")
+    if args.k is not None and any(xi):
+        raise ValueError("--xi applies to the inverse forms only")
+    qbg = QBG(n)
+    x = (w, xi)
     if args.k is not None:
         sign = "+" if args.sign == "plus" else "-"
         combo = chevalley_expand(qbg, w, sign, args.k)
-        if any(xi):
-            raise SystemExit("--xi applies to the inverse forms only")
+    elif args.variant == "first":
+        combo = ic_rhs_first(qbg, x, args.m)
+    elif args.variant == "second":
+        combo = ic_rhs_second(qbg, x, args.m)
+    elif args.variant == "cf":
+        combo = ic_rhs_cancel_free_first(qbg, x, args.m)
     else:
-        if args.m is None:
-            raise SystemExit("need --k (direct form) or --m (inverse forms)")
-        x = (w, xi)
-        if args.variant == "first":
-            combo = ic_rhs_first(qbg, x, args.m)
-        elif args.variant == "second":
-            combo = ic_rhs_second(qbg, x, args.m)
-        elif args.variant == "cf":
-            combo = ic_rhs_cancel_free_first(qbg, x, args.m)
-        elif args.variant == "conj":
-            l = args.l if args.l is not None else n
-            combo = ic_rhs_conjecture_second(qbg, x, args.m, l)
-        else:
-            raise SystemExit(f"unknown variant {args.variant!r}")
-    _emit(_combo_text(combo, args.format), args.out)
-    return 0
+        l = args.l if args.l is not None else n
+        combo = ic_rhs_conjecture_second(qbg, x, args.m, l)
+    return _combo_text(combo, args.format), 0
 
 
 # -- argument plumbing -----------------------------------------------------------
@@ -365,13 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+def _apply_config(argv: list[str]) -> list[str]:
+    for i, tok in enumerate(argv):
+        if tok == "--config":
+            path = argv[i + 1] if i + 1 < len(argv) else ""
+            rest = argv[:i] + argv[i + 2:]
+            break
+        if tok.startswith("--config="):
+            path = tok.partition("=")[2]
+            rest = argv[:i] + argv[i + 1:]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    if not path:
         raise ValueError("--config needs a path")
-    path = argv[i + 1]
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -384,7 +371,6 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
             continue
         key, _, val = line.partition("=")
         pairs[key.strip().replace("-", "_")] = val.strip()
-    rest = argv[:i] + argv[i + 2:]
     extra = []
     for key, val in pairs.items():
         flag = "--" + key.replace("_", "-")
@@ -401,10 +387,22 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        args = ap.parse_args(_apply_config(ap, argv))
-        if args.rank < 1:
-            raise ValueError(f"--rank must be at least 1, got {args.rank}")
-        return args.func(args)
+        args = ap.parse_args(_apply_config(argv))
+        if not 1 <= args.rank <= MAX_RANK:
+            raise ValueError(f"--rank must be in 1..{MAX_RANK}, got {args.rank}")
+        if not args.out:
+            text, code = args.func(args)
+            print(text)
+            return code
+        # opened before the command runs, so a bad path costs no work
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with fh:
+            text, code = args.func(args)
+            fh.write(text if text.endswith("\n") else text + "\n")
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -218,7 +218,7 @@ def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1) -> Iterator[Term]:
     s (-1)^{|B|} q^{<eps_t, dxi>} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
     """
     n = qbg.n
-    mu = eps_vec(t, n) if t > 0 else vec_neg(eps_vec(-t, n))
+    mu = eps_vec(t, n)
     chain = make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
     qe = pair(mu, dxi)
     for B in admissible_subsets(qbg, v, chain):

@@ -24,7 +24,6 @@ from .typec import (
     Vec,
     Window,
     coroot,
-    is_positive_root,
     length,
     letter_from_pos,
     letter_pos,
@@ -33,6 +32,7 @@ from .typec import (
     positive_roots,
     refl_window,
     root_from_letters,
+    root_letters,
     rho,
     vec_add,
     w_apply,
@@ -140,7 +140,7 @@ class QBG:
         all in the total order.
         """
         n = self.n
-        i, j = self._letters(alpha)
+        i, j = root_letters(alpha)
         wk = w_apply(w, i)
         if j > 0:  # (k,l) with k<l<=n
             wl = w_apply(w, j)
@@ -167,13 +167,6 @@ class QBG:
             if lo < wp < hi:
                 return False
         return True
-
-    def _letters(self, alpha: Vec) -> tuple[int, int]:
-        nz = [(m + 1, c) for m, c in enumerate(alpha) if c]
-        if len(nz) == 1:
-            return nz[0][0], -nz[0][0]
-        (i, _), (j, b) = nz
-        return (i, j) if b < 0 else (i, -j)
 
     def _cyc_between(self, base: int, x: int, y: int) -> bool:
         """x strictly between base and y in the cyclic rotation starting at base."""

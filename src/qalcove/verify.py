@@ -22,10 +22,13 @@ from typing import Iterable
 from .alcove import admissible_subsets, make_chain, subset_stats
 from .expansions import (
     Term,
+    _block,
     chained_sum,
     expand_to_base,
+    fold_terms,
     ic_conj_second_terms,
     ic_lhs,
+    ic_rhs_cancel_free_first,
     ic_rhs_conjecture_second,
     ic_rhs_first,
     ic_rhs_second,
@@ -38,14 +41,9 @@ from .typec import (
     act,
     eps_vec,
     reduced_word,
-    vec_neg,
     window_str,
     zero_vec,
 )
-
-
-def _sgn(c: int) -> int:
-    return -1 if c % 2 else 1
 
 
 # -- report plumbing -----------------------------------------------------
@@ -101,28 +99,55 @@ def _compare(instance: str, lhs: DemazureCombo, rhs: DemazureCombo,
 # -- identity checks -----------------------------------------------------
 
 
-def verify_first_half(qbg: QBG, w: Window, m: int,
-                      xi: Vec | None = None) -> VerificationReport:
-    """Check e^{+w(eps_m)} gch V_{w t_xi}(lam) against its expansion."""
+def _verify_inverse(qbg: QBG, w: Window, m: int, xi: Vec | None,
+                    sign: str) -> VerificationReport:
     t0 = time.perf_counter()
     xi = zero_vec(qbg.n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = ic_lhs(qbg, x, m, "+")
-    rhs = expand_to_base(qbg, ic_rhs_first(qbg, x, m))
-    inst = f"first-half w={window_str(w)} m={m} xi={window_str(xi)}"
+    lhs = ic_lhs(qbg, x, m, sign)
+    build, half = (ic_rhs_first, "first") if sign == "+" else (ic_rhs_second, "second")
+    rhs = expand_to_base(qbg, build(qbg, x, m))
+    inst = f"{half}-half w={window_str(w)} m={m} xi={window_str(xi)}"
     return _compare(inst, lhs, rhs, t0)
+
+
+def verify_first_half(qbg: QBG, w: Window, m: int,
+                      xi: Vec | None = None) -> VerificationReport:
+    """Check e^{+w(eps_m)} gch V_{w t_xi}(lam) against its expansion."""
+    return _verify_inverse(qbg, w, m, xi, "+")
 
 
 def verify_second_half(qbg: QBG, w: Window, m: int,
                        xi: Vec | None = None) -> VerificationReport:
     """Check e^{-w(eps_m)} gch V_{w t_xi}(lam) against its expansion."""
+    return _verify_inverse(qbg, w, m, xi, "-")
+
+
+def verify_cancel_free(qbg: QBG, w: Window, m: int,
+                       xi: Vec | None = None) -> VerificationReport:
+    """Check that the collapsed first form equals the alternating one."""
     t0 = time.perf_counter()
     xi = zero_vec(qbg.n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = ic_lhs(qbg, x, m, "-")
-    rhs = expand_to_base(qbg, ic_rhs_second(qbg, x, m))
-    inst = f"second-half w={window_str(w)} m={m} xi={window_str(xi)}"
+    lhs = ic_rhs_cancel_free_first(qbg, x, m)
+    rhs = ic_rhs_first(qbg, x, m)
+    inst = f"cancel-free w={window_str(w)} m={m} xi={window_str(xi)}"
     return _compare(inst, lhs, rhs, t0)
+
+
+def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureCombo]:
+    """Both sides of the key identity for the signed letter t = +-k.
+
+    LHS: the block from w for t, landing at lam + eps_t.  RHS: the block
+    for -t with its symbols read at lam, times e^{w eps_t}.
+    """
+    n = qbg.n
+    lhs = fold_terms(n, _block(qbg, w, t, zero_vec(n)))
+    shift = Coeff.monomial(n, 1, nu=act(w, eps_vec(t, n)))
+    rhs = DemazureCombo(n)
+    for sym, _, c in _block(qbg, w, -t, zero_vec(n)):
+        rhs.add_symbol(sym, zero_vec(n), c * shift)
+    return lhs, rhs
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -131,17 +156,7 @@ def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, Demazur
     LHS: sum over B in A(w, Gamma_k(k)) of (-1)^{|B|} V_{ed t_down}(lam+eps_k).
     RHS: sum over A in A(w, Theta_k) of (-1)^{|A|} e^{w eps_k} V_{ed t_down}(lam).
     """
-    n = qbg.n
-    lhs = DemazureCombo(n)
-    for B in admissible_subsets(qbg, w, make_chain("gamma", k, n)):
-        lhs.add_symbol((B.end, B.down), eps_vec(k, n),
-                       Coeff.monomial(n, _sgn(len(B.positions))))
-    rhs = DemazureCombo(n)
-    nu = act(w, eps_vec(k, n))
-    for A in admissible_subsets(qbg, w, make_chain("theta", k, n)):
-        rhs.add_symbol((A.end, A.down), zero_vec(n),
-                       Coeff.monomial(n, _sgn(len(A.positions)), nu=nu))
-    return lhs, rhs
+    return _key_sides(qbg, w, k)
 
 
 def key_second_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -150,17 +165,7 @@ def key_second_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, Demazu
     LHS: sum over B in A(w, Theta_k) of (-1)^{|B|} V_{ed t_down}(lam-eps_k).
     RHS: sum over A in A(w, Gamma_k(k)) of (-1)^{|A|} e^{-w eps_k} V_{ed t_down}(lam).
     """
-    n = qbg.n
-    lhs = DemazureCombo(n)
-    for B in admissible_subsets(qbg, w, make_chain("theta", k, n)):
-        lhs.add_symbol((B.end, B.down), vec_neg(eps_vec(k, n)),
-                       Coeff.monomial(n, _sgn(len(B.positions))))
-    rhs = DemazureCombo(n)
-    nu = vec_neg(act(w, eps_vec(k, n)))
-    for A in admissible_subsets(qbg, w, make_chain("gamma", k, n)):
-        rhs.add_symbol((A.end, A.down), zero_vec(n),
-                       Coeff.monomial(n, _sgn(len(A.positions)), nu=nu))
-    return lhs, rhs
+    return _key_sides(qbg, w, -k)
 
 
 def verify_key_props(qbg: QBG, w: Window, k: int) -> VerificationReport:

@@ -3,6 +3,7 @@
 import pytest
 
 from qalcove.alcove import (
+    CHAIN_KINDS,
     AdmissibleSubset,
     RootChain,
     admissible_subsets,
@@ -139,10 +140,12 @@ def test_empty_subset_statistics(qbg3):
 
 
 def test_subset_stats_matches_enumeration(qbg3):
-    chain = make_chain("eps_neg", 2, 3)
-    for w in ((1, -3, 2), (2, -1, 3)):
-        for A in admissible_subsets(qbg3, w, chain):
-            assert subset_stats(qbg3, w, chain, A.positions) == A
+    for kind in CHAIN_KINDS:
+        for k in (1, 2, 3):
+            chain = make_chain(kind, k, 3)
+            for w in qbg3.group:
+                for A in admissible_subsets(qbg3, w, chain):
+                    assert subset_stats(qbg3, w, chain, A.positions) == A
 
 
 def test_subset_stats_rejects_non_admissible(qbg3):

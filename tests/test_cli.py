@@ -5,8 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
+from qalcove import cli
 from qalcove.cli import main, table_lines
 from qalcove.qbg import QBG
 
@@ -38,8 +37,9 @@ def test_table_lines_per_table_golden():
 
 
 def test_tables_rejects_other_ranks(capsys):
-    with pytest.raises(SystemExit):
-        main(["tables", "--rank", "2"])
+    code, out, err = run(["tables", "--rank", "2"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "rank-3" in err
 
 
 # -- verify ------------------------------------------------------------------
@@ -116,8 +116,33 @@ def test_verify_rank_0_is_exit_2(capsys):
 
 
 def test_verify_unknown_variant(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--rank", "2", "--variant", "bogus"])
+    code, out, err = run(["verify", "--rank", "2", "--variant", "bogus"],
+                         capsys)
+    _assert_bad_input(code, out, err)
+    assert "bogus" in err
+
+
+def test_rank_above_bound_is_exit_2(monkeypatch, capsys):
+    def no_qbg(n):
+        raise AssertionError("QBG built for an out-of-range rank")
+
+    monkeypatch.setattr(cli, "QBG", no_qbg)
+    for argv in (["verify", "--rank", str(cli.MAX_RANK + 1)],
+                 ["qbg", "--rank", "9"]):
+        code, out, err = run(argv, capsys)
+        _assert_bad_input(code, out, err)
+        assert "--rank" in err
+
+
+def test_unwritable_out_fails_before_any_instance(tmp_path, monkeypatch, capsys):
+    def no_run(task):
+        raise AssertionError("an instance ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_run_instance", no_run)
+    dest = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run(["verify", "--rank", "2", "--out", str(dest)], capsys)
+    _assert_bad_input(code, out, err)
+    assert str(dest) in err
 
 
 # -- scan-conjecture -----------------------------------------------------------
@@ -190,13 +215,16 @@ def test_expand_json_round_trips(capsys):
 
 
 def test_expand_needs_k_or_m(capsys):
-    with pytest.raises(SystemExit):
-        main(["expand", "--rank", "2"])
+    code, out, err = run(["expand", "--rank", "2"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--k" in err and "--m" in err
 
 
 def test_expand_rejects_xi_on_direct_form(capsys):
-    with pytest.raises(SystemExit):
-        main(["expand", "--rank", "2", "--k", "1", "--xi", "1,0"])
+    code, out, err = run(["expand", "--rank", "2", "--k", "1", "--xi", "1,0"],
+                         capsys)
+    _assert_bad_input(code, out, err)
+    assert "--xi" in err
 
 
 # -- plumbing ----------------------------------------------------------------------
@@ -216,6 +244,20 @@ def test_config_does_not_override_explicit_flag(tmp_path, capsys):
     code, out, _ = run(["--config", str(cfg), "qbg", "--rank", "2"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("qbg rank 2")
+
+
+def test_config_equals_form_is_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("rank=2\n")
+    code, out, _ = run([f"--config={cfg}", "qbg"], capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("qbg rank 2")
+
+
+def test_config_equals_without_path_is_exit_2(capsys):
+    code, out, err = run(["--config=", "qbg"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--config" in err
 
 
 def test_config_without_path_is_exit_2(capsys):
