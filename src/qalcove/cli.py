@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing as mp
+import os
 import random
 import sys
 import time
@@ -39,6 +40,7 @@ from .typec import (
     parse_word,
     reduced_word,
     root_str,
+    weyl_group,
     window_str,
     word_str,
     zero_vec,
@@ -117,8 +119,7 @@ def _cmd_verify(args) -> tuple[str, int]:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
     w = _parse_elt(args.w, n) if args.w else None
     xi = _parse_xi(args.xi, n)
-    qbg = QBG(n)
-    elements = [w] if w else list(qbg.group)
+    elements = [w] if w else weyl_group(n)
     ms = [args.m] if args.m else list(range(1, n + 1))
     tasks = [(v, w, m, xi) for v in variants for w in elements for m in ms]
     if args.sample:
@@ -289,11 +290,11 @@ def _cmd_expand(args) -> tuple[str, int]:
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
     p.add_argument("--rank", type=int, default=3, help="rank n (default 3)")
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
+    p.add_argument("--format", default="text", help="one of " + ", ".join(formats))
     p.add_argument("--out", help="write output to this path instead of stdout")
+    p.set_defaults(formats=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pv = sub.add_parser("verify", help="run identity verifications")
-    _add_common(pv)
+    _add_common(pv, ("text", "json", "latex"))
     pv.add_argument("--w", help="element: window [2,-1,3] or word 's1 s2'")
     pv.add_argument("--m", type=int, help="single m (default: all 1..n)")
     pv.add_argument("--xi", help="translation coordinates, e.g. '1,0,-1'")
@@ -318,21 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan-conjecture",
                         help="scan collapsed second-form cut points")
-    _add_common(ps)
+    _add_common(ps, ("text", "json"))
     ps.add_argument("--w")
     ps.add_argument("--m", type=int)
     ps.set_defaults(func=_cmd_scan)
 
     pt = sub.add_parser("tables", help="emit the three reference tables")
-    _add_common(pt)
+    _add_common(pt, ("text",))
     pt.set_defaults(func=_cmd_tables)
 
     pq = sub.add_parser("qbg", help="export the graph")
-    _add_common(pq)
+    _add_common(pq, ("text", "json"))
     pq.set_defaults(func=_cmd_qbg)
 
     pe = sub.add_parser("expand", help="print one expansion")
-    _add_common(pe)
+    _add_common(pe, ("text", "json", "latex"))
     pe.add_argument("--w", help="element (default: identity)")
     pe.add_argument("--k", type=int, help="direct form: shift index")
     pe.add_argument("--sign", choices=("plus", "minus"), default="plus")
@@ -390,9 +391,18 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(_apply_config(argv))
         if not 1 <= args.rank <= MAX_RANK:
             raise ValueError(f"--rank must be in 1..{MAX_RANK}, got {args.rank}")
+        if args.format not in args.formats:
+            raise ValueError(f"{args.cmd} renders --format "
+                             f"{', '.join(args.formats)}, not {args.format!r}")
         if not args.out:
             text, code = args.func(args)
-            print(text)
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:
+                # the reader has gone: send the flush at exit to devnull
+                # so that Python reports no second error while shutting down
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise ValueError("stdout closed before the output was written") from None
             return code
         # opened before the command runs, so a bad path costs no work
         try:

@@ -7,11 +7,13 @@ for q^{<lam, alpha_i^vee>} where lam is a symbolic dominant weight, so any
 factor q^{-<lam, xi>} with xi = sum c_i alpha_i^vee in the coroot lattice
 is the monomial prod x_i^{-c_i}.
 
-A ``RationalCoeff`` divides a Coeff by a multiset of atoms
+A ``RationalCoeff`` divides a Coeff by a product of distinct atoms
 1 - q^{-1} x_k^{-1} (the factor 1 - q^{-<lam+w_k, alpha_k^vee>} of the
-eps_k Chevalley expansion).  Fractions stay reduced: an atom that divides
-the numerator exactly is cancelled.  Equality clears denominators and is
-exact (the ring is an integral domain).
+eps_k Chevalley expansion).  Each Chevalley expansion carries at most one
+atom, so a repeated atom is an error rather than a case to handle.
+Fractions stay reduced: an atom that divides the numerator exactly is
+cancelled.  Equality clears denominators and is exact (the ring is an
+integral domain).
 
 A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients;
@@ -179,30 +181,26 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
 
 
 class RationalCoeff:
-    """Coeff divided by a multiset of atoms 1 - q^{-1}x_k^{-1}, kept reduced."""
+    """Coeff over a product of distinct atoms 1 - q^{-1}x_k^{-1}, kept reduced."""
 
     __slots__ = ("numer", "atoms")
 
     def __init__(self, numer: Coeff, atoms=()):
+        atoms = tuple(sorted(atoms))
+        if len(set(atoms)) != len(atoms):
+            raise ValueError(f"repeated denominator atom in {atoms}")
+        if numer.is_zero():
+            atoms = ()
+        # distinct atoms are coprime, so one pass cancels every factor
+        kept = []
+        for k in atoms:
+            q = divide_by_atom(numer, k)
+            if q is None:
+                kept.append(k)
+            else:
+                numer = q
         self.numer = numer
-        self.atoms = tuple(sorted(atoms))
-        self._reduce()
-
-    def _reduce(self):
-        if self.numer.is_zero():
-            self.atoms = ()
-            return
-        atoms = list(self.atoms)
-        changed = True
-        while changed:
-            changed = False
-            for k in list(atoms):
-                q = divide_by_atom(self.numer, k)
-                if q is not None:
-                    self.numer = q
-                    atoms.remove(k)
-                    changed = True
-        self.atoms = tuple(atoms)
+        self.atoms = tuple(kept)
 
     @classmethod
     def zero(cls, n: int) -> "RationalCoeff":
@@ -212,17 +210,17 @@ class RationalCoeff:
     def n(self) -> int:
         return self.numer.n
 
-    def _with_extra_atoms(self, extra) -> Coeff:
+    def over(self, atoms) -> Coeff:
+        """The numerator written over ``atoms``, a superset of self.atoms."""
         c = self.numer
-        for k in extra:
-            c = c * atom_coeff(self.n, k)
+        for k in atoms:
+            if k not in self.atoms:
+                c = c * atom_coeff(self.n, k)
         return c
 
     def __add__(self, other: "RationalCoeff") -> "RationalCoeff":
-        lcm = _multiset_max(self.atoms, other.atoms)
-        a = self._with_extra_atoms(_multiset_sub(lcm, self.atoms))
-        b = other._with_extra_atoms(_multiset_sub(lcm, other.atoms))
-        return RationalCoeff(a + b, lcm)
+        atoms = tuple(sorted(set(self.atoms) | set(other.atoms)))
+        return RationalCoeff(self.over(atoms) + other.over(atoms), atoms)
 
     def __neg__(self) -> "RationalCoeff":
         return RationalCoeff(-self.numer, self.atoms)
@@ -232,17 +230,14 @@ class RationalCoeff:
 
     def __mul__(self, other) -> "RationalCoeff":
         if isinstance(other, Coeff):
-            other = RationalCoeff(other)
+            return RationalCoeff(self.numer * other, self.atoms)
         return RationalCoeff(self.numer * other.numer, self.atoms + other.atoms)
-
-    def scale(self, c: int) -> "RationalCoeff":
-        return RationalCoeff(self.numer.scale(c), self.atoms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalCoeff):
             return NotImplemented
-        return (self._with_extra_atoms(other.atoms).terms
-                == other._with_extra_atoms(self.atoms).terms)
+        atoms = set(self.atoms) | set(other.atoms)
+        return self.over(atoms).terms == other.over(atoms).terms
 
     def __hash__(self):
         raise TypeError("RationalCoeff is unhashable")
@@ -257,20 +252,6 @@ class RationalCoeff:
         return f"({self.numer}) / ({den})"
 
     __repr__ = __str__
-
-
-def _multiset_max(a, b):
-    out = []
-    for k in sorted(set(a) | set(b)):
-        out.extend([k] * max(a.count(k), b.count(k)))
-    return tuple(out)
-
-
-def _multiset_sub(a, b):
-    out = list(a)
-    for k in b:
-        out.remove(k)
-    return tuple(out)
 
 
 # --- formal Demazure combinations -------------------------------------------
@@ -305,12 +286,10 @@ class DemazureCombo:
         else:
             self.terms[key] = new
 
-    def add_symbol(self, x: tuple[Window, Vec], mu: Vec, rc):
-        """Add coeff * V_{x}(lam+mu) with x affine; translation is absorbed."""
-        if isinstance(rc, Coeff):
-            rc = RationalCoeff(rc)
+    def add_symbol(self, x: tuple[Window, Vec], mu: Vec, c: Coeff):
+        """Add c * V_{x}(lam+mu) with x affine; translation is absorbed."""
         key, mult = normalize(x, mu)
-        self.add_term(key, rc * mult)
+        self.add_term(key, RationalCoeff(c * mult))
 
     def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
         out = self.copy()
@@ -325,8 +304,6 @@ class DemazureCombo:
         return out
 
     def scale(self, rc) -> "DemazureCombo":
-        if isinstance(rc, Coeff):
-            rc = RationalCoeff(rc)
         out = DemazureCombo(self.n)
         for k, v in self.terms.items():
             out.add_term(k, v * rc)
@@ -396,14 +373,12 @@ def clear_denominators(a: DemazureCombo, b: DemazureCombo):
     Returns (a', b', atoms) where every coefficient of a' and b' is
     atom-free, a' = a * prod(atoms), b' = b * prod(atoms).
     """
-    lcm: tuple[int, ...] = ()
-    for combo in (a, b):
-        for rc in combo.terms.values():
-            lcm = _multiset_max(lcm, rc.atoms)
+    lcm = tuple(sorted({k for combo in (a, b) for rc in combo.terms.values()
+                        for k in rc.atoms}))
     out = []
     for combo in (a, b):
         res = DemazureCombo(combo.n)
         for key, rc in combo.terms.items():
-            res.add_term(key, RationalCoeff(rc._with_extra_atoms(_multiset_sub(lcm, rc.atoms))))
+            res.add_term(key, RationalCoeff(rc.over(lcm)))
         out.append(res)
     return out[0], out[1], lcm

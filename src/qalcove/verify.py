@@ -214,8 +214,9 @@ def pair_involution(qbg: QBG, w: Window, k: int,
     Cases: (6) both empty and (5) B={L}, A1={1} are fixed; otherwise the
     element of smallest rank moves across: from B to the front of A1 when
     B's last rank is smaller (case 1), from A1 to the end of B when A1's
-    first rank is smaller (case 2); cases 3 and 4 do the same after
-    setting aside the rank-1 pair when both L in B and 1 in A1.
+    first rank is smaller (case 2); cases 3 and 4 are cases 1 and 2 with
+    the rank-1 pair set aside while the element moves, when both L in B
+    and 1 in A1.
     """
     n = qbg.n
     L = 2 * n - k
@@ -230,28 +231,21 @@ def pair_involution(qbg: QBG, w: Window, k: int,
         return B, A1, 6
     if B == (L,) and A1 == (1,):
         return B, A1, 5
-    if B and A1 and B[-1] == L and A1[0] == 1:
-        B0, A0 = B[:-1], A1[1:]
-        rb0 = L + 1 - B0[-1] if B0 else None
-        ra0 = A0[0] if A0 else None
-        if rb0 is not None and rb0 == ra0:
-            raise AssertionError(f"equal ranks off the simple label: {B} {A1}")
-        if ra0 is None or (rb0 is not None and rb0 < ra0):
-            p = B0[-1]
-            return (tuple(sorted(B0[:-1] + (L,))),
-                    tuple(sorted(A1 + (L + 1 - p,))), 3)
-        p = A0[0]
-        return (tuple(sorted(B + (L + 1 - p,))),
-                tuple(sorted((1,) + A0[1:])), 4)
+    # set the rank-1 pair aside, move one element, then put the pair back
+    paired = B[-1:] == (L,) and A1[:1] == (1,)
+    if paired:
+        B, A1 = B[:-1], A1[1:]
     rb = L + 1 - B[-1] if B else None
     ra = A1[0] if A1 else None
     if rb is not None and rb == ra:
         raise AssertionError(f"equal ranks off the simple label: {B} {A1}")
     if ra is None or (rb is not None and rb < ra):
-        p = B[-1]
-        return B[:-1], tuple(sorted(A1 + (L + 1 - p,))), 1
-    p = A1[0]
-    return tuple(sorted(B + (L + 1 - p,))), A1[1:], 2
+        B, A1, case = B[:-1], tuple(sorted(A1 + (L + 1 - B[-1],))), 1
+    else:
+        B, A1, case = tuple(sorted(B + (L + 1 - A1[0],))), A1[1:], 2
+    if paired:
+        return B + (L,), (1,) + A1, case + 2
+    return B, A1, case
 
 
 def pair_domain(qbg: QBG, w: Window, k: int):

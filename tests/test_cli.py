@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,17 @@ def test_tables_rejects_other_ranks(capsys):
     code, out, err = run(["tables", "--rank", "2"], capsys)
     _assert_bad_input(code, out, err)
     assert "rank-3" in err
+
+
+def _no_qbg(n):
+    raise AssertionError("QBG built for a format the command cannot render")
+
+
+def test_tables_rejects_json(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["tables", "--rank", "3", "--format", "json"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "'json'" in err
 
 
 # -- verify ------------------------------------------------------------------
@@ -145,6 +157,21 @@ def test_unwritable_out_fails_before_any_instance(tmp_path, monkeypatch, capsys)
     assert str(dest) in err
 
 
+def test_verify_builds_one_graph(monkeypatch, capsys):
+    built = []
+
+    class CountingQBG(QBG):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(cli, "QBG", CountingQBG)
+    code, _, _ = run(["verify", "--rank", "2", "--m", "1", "--variant", "key"],
+                     capsys)
+    assert code == 0
+    assert built == [2]
+
+
 # -- scan-conjecture -----------------------------------------------------------
 
 
@@ -166,6 +193,16 @@ def test_scan_conjecture_single_instance(capsys):
     assert "l-set=[3]" in out  # l = 2 fails, l = n works here
 
 
+def test_scan_conjecture_rejects_latex_from_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("format=latex\n")
+    code, out, err = run(["--config", str(cfg), "scan-conjecture", "--rank", "2"],
+                         capsys)
+    _assert_bad_input(code, out, err)
+    assert "'latex'" in err
+
+
 # -- qbg ------------------------------------------------------------------------
 
 
@@ -183,6 +220,13 @@ def test_qbg_text_header(capsys):
     code, out, _ = run(["qbg", "--rank", "2"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "qbg rank 2: 8 vertices, 22 edges"
+
+
+def test_qbg_rejects_latex(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["qbg", "--rank", "2", "--format", "latex"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "'latex'" in err
 
 
 # -- expand -----------------------------------------------------------------------
@@ -296,3 +340,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("table 1 (rank 3)")
+
+
+def test_closed_stdout_is_exit_2():
+    # the read end is closed before the child starts, so its first write
+    # of any size fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "qalcove.cli", "qbg", "--rank", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1

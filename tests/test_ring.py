@@ -114,6 +114,15 @@ def test_rational_eq_cross_multiplies():
     assert lhs.atoms == (2,)  # reduction already cancelled the first atom
 
 
+def test_repeated_atom_is_rejected():
+    with pytest.raises(ValueError):
+        RationalCoeff(Coeff.one(2), (1, 1))
+    a = RationalCoeff(Coeff.one(2), (1,))
+    ab = RationalCoeff(Coeff.one(2), (1, 2))
+    with pytest.raises(ValueError):
+        a * ab
+
+
 def test_rational_unhashable():
     with pytest.raises(TypeError):
         hash(RationalCoeff(Coeff.one(2)))

@@ -1,0 +1,26 @@
+"""bench/tracer.py wraps library names by their text; a rename must fail here,
+not only in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import qalcove.cli  # noqa: F401  (loads every layer the tracer wraps)
+from qalcove import verify
+from qalcove.qbg import QBG
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def test_tracer_installs_and_restores():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert verify.verify_first_half(QBG(2), (2, -1), 2).ok
+    finally:
+        assert tracer.uninstall()
+    calls = tracer.summary()
+    assert calls["verify_first_half"]["calls"] == 1
+    assert calls["RationalCoeff.__init__"]["calls"] > 0
