@@ -96,6 +96,16 @@ def _word_and_window(w) -> str:
     return f"{word_str(reduced_word(w))} {window_str(w)}"
 
 
+def _letters(args) -> list[int]:
+    """The letters m to run: --m, checked against 1..n, or all of them."""
+    n = args.rank
+    if args.m is None:
+        return list(range(1, n + 1))
+    if not 1 <= args.m <= n:
+        raise ValueError(f"--m must be in 1..{n}, got {args.m}")
+    return [args.m]
+
+
 # -- verify ----------------------------------------------------------------
 
 _WORKER_QBG: QBG | None = None
@@ -113,21 +123,24 @@ def _run_instance(task) -> VerificationReport:
 
 def _cmd_verify(args) -> tuple[str, int]:
     n = args.rank
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     variants = [v.strip() for v in args.variant.split(",")]
     for v in variants:
         if v not in VERIFIERS:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
     w = _parse_elt(args.w, n) if args.w else None
     xi = _parse_xi(args.xi, n)
+    ms = _letters(args)
     elements = [w] if w else weyl_group(n)
-    ms = [args.m] if args.m else list(range(1, n + 1))
     tasks = [(v, w, m, xi) for v in variants for w in elements for m in ms]
     if args.sample:
         rng = random.Random(args.seed)
         tasks = rng.sample(tasks, min(args.sample, len(tasks)))
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with mp.Pool(args.jobs, initializer=_init_worker, initargs=(n,)) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with mp.Pool(workers, initializer=_init_worker, initargs=(n,)) as pool:
             reports = pool.map(_run_instance, tasks, chunksize=4)
     else:
         _init_worker(n)
@@ -160,9 +173,8 @@ def _cmd_verify(args) -> tuple[str, int]:
 def _cmd_scan(args) -> tuple[str, int]:
     n = args.rank
     elements = [_parse_elt(args.w, n)] if args.w else None
-    qbg = QBG(n)
-    ms = [args.m] if args.m else None
-    res = conjecture_scan(qbg, ms=ms, elements=elements)
+    ms = _letters(args)
+    res = conjecture_scan(QBG(n), ms=ms, elements=elements)
     if args.format == "json":
         text = json.dumps(res.to_json(), indent=2)
     else:
@@ -290,15 +302,24 @@ def _cmd_expand(args) -> tuple[str, int]:
 # -- argument plumbing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument as one ``error:`` line, not a usage block.
+
+    Subparsers are built with the class of their parent, so they raise too.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
     p.add_argument("--rank", type=int, default=3, help="rank n (default 3)")
-    p.add_argument("--format", default="text", help="one of " + ", ".join(formats))
+    p.add_argument("--format", default="text", choices=formats)
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.set_defaults(formats=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qalcove",
         description="quantum Bruhat graph / quantum alcove model toolkit")
     ap.add_argument("--config", help="key=value file of flag defaults")
@@ -391,18 +412,15 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(_apply_config(argv))
         if not 1 <= args.rank <= MAX_RANK:
             raise ValueError(f"--rank must be in 1..{MAX_RANK}, got {args.rank}")
-        if args.format not in args.formats:
-            raise ValueError(f"{args.cmd} renders --format "
-                             f"{', '.join(args.formats)}, not {args.format!r}")
         if not args.out:
             text, code = args.func(args)
             try:
                 print(text, flush=True)
-            except BrokenPipeError:
-                # the reader has gone: send the flush at exit to devnull
-                # so that Python reports no second error while shutting down
+            except OSError as exc:  # a closed pipe or a full device
+                # send the flush at exit to devnull so that Python reports
+                # no second error while shutting down
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                raise ValueError("stdout closed before the output was written") from None
+                raise ValueError(f"cannot write stdout: {exc.strerror}") from None
             return code
         # opened before the command runs, so a bad path costs no work
         try:
@@ -411,7 +429,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         with fh:
             text, code = args.func(args)
-            fh.write(text if text.endswith("\n") else text + "\n")
+            try:
+                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.close()  # flushes, so a full device fails here
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

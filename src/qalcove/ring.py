@@ -12,8 +12,8 @@ A ``RationalCoeff`` divides a Coeff by a product of distinct atoms
 eps_k Chevalley expansion).  Each Chevalley expansion carries at most one
 atom, so a repeated atom is an error rather than a case to handle.
 Fractions stay reduced: an atom that divides the numerator exactly is
-cancelled.  Equality clears denominators and is exact (the ring is an
-integral domain).
+cancelled.  A reduced fraction is the unique form of its value, so
+equality compares numerators and atoms directly.
 
 A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients;
@@ -202,10 +202,6 @@ class RationalCoeff:
         self.numer = numer
         self.atoms = tuple(kept)
 
-    @classmethod
-    def zero(cls, n: int) -> "RationalCoeff":
-        return cls(Coeff.zero(n))
-
     @property
     def n(self) -> int:
         return self.numer.n
@@ -236,8 +232,9 @@ class RationalCoeff:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalCoeff):
             return NotImplemented
-        atoms = set(self.atoms) | set(other.atoms)
-        return self.over(atoms).terms == other.over(atoms).terms
+        # distinct atoms are coprime primes and a reduced numerator is
+        # divisible by none of its atoms, so the reduced form is unique
+        return self.atoms == other.atoms and self.numer == other.numer
 
     def __hash__(self):
         raise TypeError("RationalCoeff is unhashable")
@@ -317,15 +314,13 @@ class DemazureCombo:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DemazureCombo):
             return NotImplemented
-        zero = RationalCoeff.zero(self.n)
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
+        return self.terms == other.terms  # add_term never stores a zero
 
     def __hash__(self):
         raise TypeError("DemazureCombo is unhashable")
 
     def is_zero(self) -> bool:
-        return all(rc.is_zero() for rc in self.terms.values())
+        return not self.terms
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))

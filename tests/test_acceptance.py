@@ -5,6 +5,7 @@ Run with  python3 -m pytest tests/test_acceptance.py -v -s
 
 import json
 import multiprocessing as mp
+import os
 import random
 import time
 from pathlib import Path
@@ -166,13 +167,14 @@ def test_criterion_3_exhaustive_verification(qbg2, qbg3):
     tasks = [(variant, w, m, zero_vec(4))
              for w, m in rng.sample(pairs, 200)
              for variant in ("first", "second", "key")]
-    with mp.Pool(8, initializer=_init_worker, initargs=(4,)) as pool:
+    workers = min(8, os.cpu_count() or 1)  # more workers than cores only slow it
+    with mp.Pool(workers, initializer=_init_worker, initargs=(4,)) as pool:
         reports = pool.map(_run_instance, tasks, chunksize=8)
     bad = [r.instance for r in reports if not r.ok]
     assert not bad, bad
     assert time.time() - t1 < 600.0
     _pass(3, "all rank-2 and rank-3 instances verified symbolically; "
-             "200-instance rank-4 sample verified with 8 workers", t0)
+             f"200-instance rank-4 sample verified with {workers} workers", t0)
 
 
 def test_criterion_4_cancellation_free_equivalence(qbg3):

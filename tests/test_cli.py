@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qalcove import cli
 from qalcove.cli import main, table_lines
 from qalcove.qbg import QBG
 
 GOLDEN = Path(__file__).parent / "golden"
+# a device on which every write fails with ENOSPC
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
 
 
 def run(argv, capsys):
@@ -157,6 +162,57 @@ def test_unwritable_out_fails_before_any_instance(tmp_path, monkeypatch, capsys)
     assert str(dest) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "2", "--m", "0"],
+    ["verify", "--rank", "2", "--m", "5", "--variant", "key"],
+    ["scan-conjecture", "--rank", "2", "--m", "0"],
+])
+def test_m_out_of_range_is_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(argv, capsys)
+    _assert_bad_input(code, out, err)
+    assert "--m must be in 1..2" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_1_is_exit_2(jobs, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                          "--variant", "key", "--jobs", jobs], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--jobs" in err
+
+
+def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch, capsys):
+    sizes = []
+
+    class InProcessPool:
+        """Records the requested size and maps in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.mp, "Pool", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    base = ["verify", "--rank", "2", "--w", "s1", "--jobs", "1000000000"]
+    code, _, _ = run(base, capsys)  # 6 tasks on 4 cores
+    assert code == 0 and sizes == [4]
+    code, _, _ = run(base + ["--variant", "key"], capsys)  # 2 tasks
+    assert code == 0 and sizes == [4, 2]
+    code, _, _ = run(base + ["--variant", "key", "--m", "1"], capsys)  # serial
+    assert code == 0 and sizes == [4, 2]
+
+
 def test_verify_builds_one_graph(monkeypatch, capsys):
     built = []
 
@@ -274,6 +330,32 @@ def test_expand_rejects_xi_on_direct_form(capsys):
 # -- plumbing ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "x"],
+    ["bogus"],
+    ["expand", "--k", "1", "--sign", "up"],
+])
+def test_argparse_rejection_is_one_line(argv, capsys):
+    code, out, err = run(argv, capsys)
+    _assert_bad_input(code, out, err)
+    assert argv[-1] in err
+
+
+def test_unknown_config_key_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("colour=blue\n")
+    code, out, err = run(["--config", str(cfg), "qbg", "--rank", "2"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--colour" in err
+
+
+def test_help_is_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--variant" in capsys.readouterr().out
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("rank=2\nformat=json\n")
@@ -326,6 +408,13 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
     assert str(dest) in err and not dest.exists()
 
 
+@NEEDS_DEV_FULL
+def test_out_to_full_device_is_exit_2(capsys):
+    code, out, err = run(["tables", "--rank", "3", "--out", "/dev/full"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "/dev/full" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, out, _ = run(["tables", "--rank", "3", "--out", str(dest)], capsys)
@@ -353,5 +442,15 @@ def test_closed_stdout_is_exit_2():
             stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+@NEEDS_DEV_FULL
+def test_full_stdout_is_exit_2():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "qalcove.cli", "qbg", "--rank", "2"],
+            stdout=full, stderr=subprocess.PIPE, text=True)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1

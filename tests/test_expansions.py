@@ -5,6 +5,8 @@ sequences, the filtered subset families, the collapsed displays with their
 q-prefactors, and the equality of the collapsed and alternating forms.
 """
 
+import random
+
 import pytest
 
 from qalcove.alcove import admissible_subsets, filtered_A, make_chain
@@ -365,6 +367,20 @@ def test_rhs_builders_match_folded_streams(qbg3):
     x = (w, xi)
     assert ic_rhs_first(qbg3, x, 2) == fold_terms(3, ic_first_terms(qbg3, x, 2))
     assert ic_rhs_second(qbg3, x, 2) == fold_terms(3, ic_second_terms(qbg3, x, 2))
+
+
+def test_fold_is_independent_of_summation_order(qbg3):
+    # in order, reversed and shuffled, folded and then expanded to the base
+    # weight, where the rational sums run in each fold's key order
+    rng = random.Random(11)
+    for word, m in (("s1 s2 s1", 3), ("s3 s2", 2), ("s2 s3", 1), ("s1", 2)):
+        terms = list(ic_second_terms(qbg3, _x(parse_word(word, 3)), m))
+        shuffled = rng.sample(terms, len(terms))
+        folds = [fold_terms(3, t) for t in (terms, terms[::-1], shuffled)]
+        for combos in (folds, [expand_to_base(qbg3, f) for f in folds]):
+            first, *rest = combos
+            assert all(c == first for c in rest)
+            assert all(c.to_json() == first.to_json() for c in rest)
 
 
 def test_conjecture_l_out_of_range(qbg3):

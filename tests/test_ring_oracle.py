@@ -148,3 +148,23 @@ def test_reduction_keeps_the_value_and_leaves_no_dividing_atom(n):
         rc = RationalCoeff(numer, atoms)
         assert_reduced(rc)
         assert is_zero(cleared(rc) - over_all(numer, atoms))
+
+
+def assert_one_form(x: RationalCoeff, y: RationalCoeff):
+    """x and y hold one value (sympy agrees) and so one reduced form."""
+    assert is_zero(cleared(x) - cleared(y))
+    assert x == y
+    assert x.atoms == y.atoms and x.numer.terms == y.numer.terms
+
+
+@pytest.mark.parametrize("n", RANKS)
+def test_equal_values_reached_by_different_routes_are_identical(n):
+    rng = random.Random(500 + n)
+    for _ in range(12):
+        a = random_rational(rng, n, range(1, n))
+        b = random_rational(rng, n, range(1, n))
+        c = random_rational(rng, n, [k for k in range(1, n + 1)
+                                     if k not in a.atoms + b.atoms])
+        assert_one_form((a + b) - b, a)
+        assert_one_form((a + b) * c, a * c + b * c)
+        assert ((a + b) - b == b) == is_zero(cleared(a) - cleared(b))
