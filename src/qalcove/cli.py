@@ -282,6 +282,10 @@ def _cmd_expand(args) -> tuple[str, int]:
         raise ValueError("need --k (direct form) or --m (inverse forms)")
     if args.k is not None and any(xi):
         raise ValueError("--xi applies to the inverse forms only")
+    if args.k is not None and args.m is not None:
+        raise ValueError("--k (direct form) and --m (inverse forms) exclude each other")
+    if args.l is not None and (args.k is not None or args.variant != "conj"):
+        raise ValueError("--l applies to --variant conj only")
     qbg = QBG(n)
     x = (w, xi)
     if args.k is not None:
@@ -422,22 +426,26 @@ def main(argv: list[str] | None = None) -> int:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 raise ValueError(f"cannot write stdout: {exc.strerror}") from None
             return code
-        # opened before the command runs, so a bad path costs no work
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-        with fh:
-            text, code = args.func(args)
-            try:
-                fh.write(text if text.endswith("\n") else text + "\n")
-                fh.close()  # flushes, so a full device fails here
-            except OSError as exc:
-                raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        # probed before the command runs, so a bad path costs no work; "a"
+        # keeps the old bytes until the command has succeeded
+        _write_out(args.out, "a", "")
+        text, code = args.func(args)
+        _write_out(args.out, "w", text if text.endswith("\n") else text + "\n")
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr may share the closed pipe; the code still says it
+            pass
         return 2
+
+
+def _write_out(path: str, mode: str, text: str):
+    try:
+        with open(path, mode) as fh:  # closing flushes: a full device fails
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 if __name__ == "__main__":

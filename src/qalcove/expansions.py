@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .alcove import admissible_subsets, filtered_A, make_chain
 from .qbg import QBG
-from .ring import Coeff, DemazureCombo, RationalCoeff
+from .ring import Coeff, DemazureCombo, normalized
 from .typec import (
     Vec,
     Window,
@@ -37,7 +37,6 @@ from .typec import (
     letter_pos,
     pair,
     vec_add,
-    vec_neg,
     zero_vec,
 )
 
@@ -98,14 +97,11 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     key = (w, sign, k)
     if key not in cache:
         chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
-        combo = DemazureCombo(n)
-        for A in admissible_subsets(qbg, w, chain):
-            c = Coeff.monomial(n, _sign(A.n_neg), q=-A.height, nu=A.wt)
-            combo.add_symbol((A.end, A.down), zero_vec(n), c)
         atom = k if sign == "+" else k - 1
-        if atom:
-            combo = combo.scale(RationalCoeff(Coeff.one(n), (atom,)))
-        cache[key] = combo
+        terms = (((A.end, A.down), zero_vec(n),
+                  Coeff.monomial(n, _sign(A.n_neg), q=-A.height, nu=A.wt))
+                 for A in admissible_subsets(qbg, w, chain))
+        cache[key] = DemazureCombo.summed(n, normalized(terms, (atom,) if atom else ()))
     return cache[key]
 
 
@@ -121,33 +117,30 @@ def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
     """Rewrite every V_y(lam +- eps_k) symbol through ``chevalley_expand``.
 
     Symbols already at the base weight (shift 0) pass through unchanged,
-    so the result involves the gch V_y(lam) only.
+    so the result involves the gch V_y(lam) only.  One fold sums every
+    product of numerators per (symbol, denominator).
     """
-    out = DemazureCombo(combo.n)
-    for (y, mu), rc in combo.terms.items():
-        if not any(mu):
-            out.add_term((y, mu), rc)
-            continue
-        k, sign = _mu_index(mu)
-        for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
-            out.add_term(key2, rc2 * rc)
-    return out
+    def items():
+        for (y, mu), rc in combo.terms.items():
+            if not any(mu):
+                yield (y, mu), rc.atoms, rc.numer
+                continue
+            k, sign = _mu_index(mu)
+            for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
+                yield key2, rc2.atoms + rc.atoms, rc2.numer * rc.numer
+
+    return DemazureCombo.summed(combo.n, items())
 
 
 def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
     """The one-term combination e^{+-w(eps_m)} gch V_{w t_xi}(lam)."""
-    w, xi = x
     n = qbg.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in 1..{n}, got {m}")
+    _check_m(n, m)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    nu = act(w, eps_vec(m, n))
-    if sign == "-":
-        nu = vec_neg(nu)
-    combo = DemazureCombo(n)
-    combo.add_symbol((w, xi), zero_vec(n), Coeff.monomial(n, 1, nu=nu))
-    return combo
+    nu = act(x[0], eps_vec(m if sign == "+" else -m, n))
+    term = (x, zero_vec(n), Coeff.monomial(n, nu=nu))
+    return DemazureCombo.summed(n, normalized([term]))
 
 
 def chained_filtered(qbg: QBG, w: Window, src: int,
@@ -307,10 +300,7 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
 
 def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
     """Sum a stream of (affine symbol, weight shift, coefficient) terms."""
-    combo = DemazureCombo(n)
-    for sym, mu, c in terms:
-        combo.add_symbol(sym, mu, c)
-    return combo
+    return DemazureCombo.summed(n, normalized(terms))
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

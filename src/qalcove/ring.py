@@ -19,6 +19,9 @@ A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients;
 translation parts are absorbed on insertion:
 V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu).
+Every combination is built by one fold, ``DemazureCombo.summed``: it adds
+the numerators that share a symbol and a denominator as plain integer
+dicts, then reduces each sum once.
 """
 
 from __future__ import annotations
@@ -47,10 +50,6 @@ class Coeff:
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     # -- constructors --
-
-    @classmethod
-    def zero(cls, n: int) -> "Coeff":
-        return cls(n)
 
     @classmethod
     def monomial(cls, n: int, c: int = 1, q: int = 0,
@@ -266,6 +265,14 @@ def normalize(x: tuple[Window, Vec], mu: Vec) -> tuple[tuple[Window, Vec], Coeff
     return (w, mu), mult
 
 
+def normalized(terms, atoms: tuple[int, ...] = ()):
+    """``DemazureCombo.summed`` items of (affine symbol, mu, Coeff) terms,
+    each over the denominator ``atoms``."""
+    for sym, mu, c in terms:
+        key, mult = normalize(sym, mu)
+        yield key, atoms, c * mult
+
+
 class DemazureCombo:
     """Finite formal sum of V_y(lam+mu) with RationalCoeff coefficients."""
 
@@ -274,6 +281,25 @@ class DemazureCombo:
     def __init__(self, n: int):
         self.n = n
         self.terms: dict[tuple[Window, Vec], RationalCoeff] = {}
+
+    @classmethod
+    def summed(cls, n: int, items) -> "DemazureCombo":
+        """The sum of numer / prod(atoms) * V_key over (key, atoms, numer) items.
+
+        Numerators sharing a key and atoms are added in place, each sum is
+        reduced once, and ``add_term`` joins the sums of a key.  A reduced
+        form is unique, so this equals adding one item at a time.  Atoms
+        are sorted, not deduplicated: a repeated atom raises ValueError.
+        """
+        acc: dict[tuple, dict[TermKey, int]] = {}
+        for key, atoms, numer in items:
+            bucket = acc.setdefault((key, tuple(sorted(atoms))), {})
+            for t, c in numer.terms.items():
+                bucket[t] = bucket.get(t, 0) + c
+        out = cls(n)
+        for (key, atoms), bucket in acc.items():
+            out.add_term(key, RationalCoeff(Coeff(n, bucket), atoms))
+        return out
 
     def add_term(self, key: tuple[Window, Vec], rc: RationalCoeff):
         cur = self.terms.get(key)
@@ -288,28 +314,15 @@ class DemazureCombo:
         key, mult = normalize(x, mu)
         self.add_term(key, RationalCoeff(c * mult))
 
+    def _items(self, s: int = 1) -> list:
+        """The ``summed`` items of s times this combination."""
+        return [(k, rc.atoms, rc.numer.scale(s)) for k, rc in self.terms.items()]
+
     def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
-        out = self.copy()
-        for k, rc in other.terms.items():
-            out.add_term(k, rc)
-        return out
+        return DemazureCombo.summed(self.n, self._items() + other._items())
 
     def __sub__(self, other: "DemazureCombo") -> "DemazureCombo":
-        out = self.copy()
-        for k, rc in other.terms.items():
-            out.add_term(k, -rc)
-        return out
-
-    def scale(self, rc) -> "DemazureCombo":
-        out = DemazureCombo(self.n)
-        for k, v in self.terms.items():
-            out.add_term(k, v * rc)
-        return out
-
-    def copy(self) -> "DemazureCombo":
-        out = DemazureCombo(self.n)
-        out.terms = dict(self.terms)
-        return out
+        return DemazureCombo.summed(self.n, self._items() + other._items(-1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DemazureCombo):
@@ -370,10 +383,7 @@ def clear_denominators(a: DemazureCombo, b: DemazureCombo):
     """
     lcm = tuple(sorted({k for combo in (a, b) for rc in combo.terms.values()
                         for k in rc.atoms}))
-    out = []
-    for combo in (a, b):
-        res = DemazureCombo(combo.n)
-        for key, rc in combo.terms.items():
-            res.add_term(key, RationalCoeff(rc.over(lcm)))
-        out.append(res)
-    return out[0], out[1], lcm
+    a2, b2 = (DemazureCombo.summed(c.n, ((key, (), rc.over(lcm))
+                                         for key, rc in c.terms.items()))
+              for c in (a, b))
+    return a2, b2, lcm

@@ -144,10 +144,8 @@ def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureComb
     n = qbg.n
     lhs = fold_terms(n, _block(qbg, w, t, zero_vec(n)))
     shift = Coeff.monomial(n, 1, nu=act(w, eps_vec(t, n)))
-    rhs = DemazureCombo(n)
-    for sym, _, c in _block(qbg, w, -t, zero_vec(n)):
-        rhs.add_symbol(sym, zero_vec(n), c * shift)
-    return lhs, rhs
+    return lhs, fold_terms(n, ((sym, zero_vec(n), c * shift)
+                               for sym, _, c in _block(qbg, w, -t, zero_vec(n))))
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:

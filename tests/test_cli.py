@@ -327,6 +327,18 @@ def test_expand_rejects_xi_on_direct_form(capsys):
     assert "--xi" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--k", "1", "--m", "2"], "--m"),
+    (["--m", "1", "--variant", "first", "--l", "2"], "--l"),
+    (["--k", "1", "--l", "2"], "--l"),
+])
+def test_expand_rejects_flags_it_would_ignore(argv, flag, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["expand", "--rank", "2"] + argv, capsys)
+    _assert_bad_input(code, out, err)
+    assert flag in err
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 
@@ -415,6 +427,24 @@ def test_out_to_full_device_is_exit_2(capsys):
     assert "/dev/full" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "2", "--m", "0"],
+    ["expand", "--rank", "2"],
+])
+def test_out_keeps_its_bytes_on_bad_input(argv, tmp_path, capsys):
+    dest = tmp_path / "keep.txt"
+    dest.write_text("old bytes\n")
+    code, out, err = run(argv + ["--out", str(dest)], capsys)
+    _assert_bad_input(code, out, err)
+    assert dest.read_text() == "old bytes\n"
+    # a successful run replaces the file, twice over, rather than appending
+    for _ in range(2):
+        code, _, _ = run(["tables", "--rank", "3", "--out", str(dest)], capsys)
+        assert code == 0
+    text = dest.read_text()
+    assert text.startswith("table 1 (rank 3)") and text.count("table 1") == 1
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, out, _ = run(["tables", "--rank", "3", "--out", str(dest)], capsys)
@@ -444,6 +474,19 @@ def test_closed_stdout_is_exit_2():
         os.close(write_end)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_closed_stdout_and_stderr_is_exit_2():
+    # stderr shares the closed pipe, so the error line cannot be written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "qalcove.cli", "qbg", "--rank", "3"],
+            stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
 
 
 @NEEDS_DEV_FULL

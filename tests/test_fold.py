@@ -1,0 +1,214 @@
+"""The one fold that builds every DemazureCombo, against one-at-a-time sums.
+
+Each oracle below adds one RationalCoeff at a time through ``add_term``,
+reducing after every addition.  A reduced fraction is the unique form of its
+value, so every builder must give the oracle's combination exactly: equal,
+and with the same JSON.
+"""
+
+import random
+
+import pytest
+
+from qalcove.alcove import admissible_subsets, make_chain
+from qalcove.expansions import (
+    _block,
+    _inverse_terms,
+    _mu_index,
+    _second_dsts,
+    _summed,
+    chevalley_expand,
+    expand_to_base,
+    ic_rhs_first,
+    ic_rhs_second,
+)
+from qalcove.ring import (
+    Coeff,
+    DemazureCombo,
+    RationalCoeff,
+    atom_coeff,
+    clear_denominators,
+    normalized,
+)
+from qalcove.typec import act, eps_vec, zero_vec
+from qalcove.verify import _key_sides
+
+
+def fold_oracle(n, terms):
+    combo = DemazureCombo(n)
+    for sym, mu, c in terms:
+        combo.add_symbol(sym, mu, c)
+    return combo
+
+
+def chevalley_oracle(qbg, w, sign, k, cache):
+    """gch V_w(lam +- eps_k): subsets summed one at a time, then each
+    coefficient divided by the atom."""
+    if (w, sign, k) not in cache:
+        n = qbg.n
+        chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
+        plain = fold_oracle(n, (
+            ((A.end, A.down), zero_vec(n),
+             Coeff.monomial(n, -1 if A.n_neg % 2 else 1, q=-A.height, nu=A.wt))
+            for A in admissible_subsets(qbg, w, chain)))
+        atom = k if sign == "+" else k - 1
+        combo = DemazureCombo(n)
+        for key, rc in plain.terms.items():
+            combo.add_term(key, rc * RationalCoeff(Coeff.one(n), (atom,) if atom else ()))
+        cache[(w, sign, k)] = combo
+    return cache[(w, sign, k)]
+
+
+def expand_oracle(qbg, combo, cache):
+    out = DemazureCombo(combo.n)
+    for (y, mu), rc in combo.terms.items():
+        if not any(mu):
+            out.add_term((y, mu), rc)
+            continue
+        k, sign = _mu_index(mu)
+        for key2, rc2 in chevalley_oracle(qbg, y, sign, k, cache).terms.items():
+            out.add_term(key2, rc2 * rc)
+    return out
+
+
+def key_sides_oracle(qbg, w, t):
+    n = qbg.n
+    shift = Coeff.monomial(n, 1, nu=act(w, eps_vec(t, n)))
+    rhs = fold_oracle(n, ((sym, zero_vec(n), c * shift)
+                          for sym, _, c in _block(qbg, w, -t, zero_vec(n))))
+    return fold_oracle(n, _block(qbg, w, t, zero_vec(n))), rhs
+
+
+def assert_same(a, b):
+    assert a == b
+    assert a.to_json() == b.to_json()
+
+
+def check_element(qbg, w, xi, cache):
+    """Every inverse-form RHS and key side of w, folded and expanded."""
+    n = qbg.n
+    x = (w, xi)
+    for m in range(1, n + 1):
+        for built, stream in (
+                (ic_rhs_first(qbg, x, m),
+                 _inverse_terms(qbg, x, m, range(1, m), _summed)),
+                (ic_rhs_second(qbg, x, m),
+                 _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))):
+            oracle = fold_oracle(n, stream)
+            assert_same(built, oracle)
+            assert_same(expand_to_base(qbg, built), expand_oracle(qbg, oracle, cache))
+    for k in range(1, n + 1):
+        for t in (k, -k):
+            sides = _key_sides(qbg, w, t)
+            oracles = key_sides_oracle(qbg, w, t)
+            for side, oracle in zip(sides, oracles):
+                assert_same(side, oracle)
+            assert_same(expand_to_base(qbg, sides[0]),
+                        expand_oracle(qbg, oracles[0], cache))
+
+
+def test_chevalley_expand_matches_oracle(qbg2, qbg3):
+    for qbg in (qbg2, qbg3):
+        cache = {}
+        for w in qbg.group:
+            for k in range(1, qbg.n + 1):
+                for sign in "+-":
+                    assert_same(chevalley_expand(qbg, w, sign, k),
+                                chevalley_oracle(qbg, w, sign, k, cache))
+
+
+@pytest.mark.parametrize("xi", [None, "shifted"])
+def test_builders_match_oracle_exhaustive(qbg2, qbg3, xi):
+    for qbg in (qbg2, qbg3):
+        cache = {}
+        shift = zero_vec(qbg.n) if xi is None else (1, -1, 0)[:qbg.n]
+        for w in qbg.group:
+            check_element(qbg, w, shift, cache)
+
+
+def test_builders_match_oracle_rank4_sampled(qbg4):
+    cache = {}
+    for w in random.Random(4).sample(qbg4.group, 20):
+        check_element(qbg4, w, zero_vec(4), cache)
+
+
+def _random_coeff(rng, n):
+    return Coeff(n, {(rng.randint(-2, 1), tuple(rng.randint(-1, 1) for _ in range(n)),
+                      tuple(rng.randint(-1, 1) for _ in range(n))): rng.randint(-3, 3)
+                     for _ in range(rng.randint(1, 3))})
+
+
+def _random_items(rng, n):
+    """Items over a few keys; some are divisible by their atoms, and some
+    cancel an earlier item from another bucket of the same key."""
+    keys = [((tuple(range(1, n + 1)), zero_vec(n))),
+            ((tuple(range(n, 0, -1)), zero_vec(n))),
+            ((tuple(range(1, n + 1)), eps_vec(1, n)))]
+    items = []
+    for _ in range(rng.randint(1, 12)):
+        atoms = tuple(rng.sample(range(1, n + 1), rng.randint(0, min(2, n))))
+        numer = _random_coeff(rng, n)
+        if atoms and rng.random() < 0.3:
+            numer = numer * atom_coeff(n, atoms[0])
+        items.append((rng.choice(keys), atoms, numer))
+        if rng.random() < 0.3:
+            key, atoms, numer = rng.choice(items)
+            free = [k for k in range(1, n + 1) if k not in atoms]
+            if free:
+                k = rng.choice(free)
+                items.append((key, atoms + (k,), -(numer * atom_coeff(n, k))))
+    return items
+
+
+def test_summed_random_items_match_oracle():
+    rng = random.Random(6)
+    cancelled = 0
+    for n in (2, 3):
+        for _ in range(200):
+            items = _random_items(rng, n)
+            oracle = DemazureCombo(n)
+            for key, atoms, numer in items:
+                oracle.add_term(key, RationalCoeff(numer, atoms))
+            folded = DemazureCombo.summed(n, items)
+            assert_same(folded, oracle)
+            cancelled += len({key for key, _, _ in items} - set(folded.terms))
+            other = DemazureCombo.summed(n, _random_items(rng, n))
+            for op in ("__add__", "__sub__"):
+                want = DemazureCombo(n)
+                for key, rc in folded.terms.items():
+                    want.add_term(key, rc)
+                for key, rc in other.terms.items():
+                    want.add_term(key, rc if op == "__add__" else -rc)
+                assert_same(getattr(folded, op)(other), want)
+            a2, b2, lcm = clear_denominators(folded, other)
+            for got, combo in ((a2, folded), (b2, other)):
+                want = DemazureCombo(n)
+                for key, rc in combo.terms.items():
+                    want.add_term(key, RationalCoeff(rc.over(lcm)))
+                assert_same(got, want)
+    assert cancelled > 0  # some keys cancel to zero across buckets
+
+
+def test_repeated_atom_raises(qbg3):
+    one = Coeff.one(3)
+    with pytest.raises(ValueError):
+        DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one)])
+    # a repeated atom raises even when its numerators cancel
+    key = ((1, 2, 3), zero_vec(3))
+    with pytest.raises(ValueError):
+        DemazureCombo.summed(3, [(key, (2, 2), one), (key, (2, 2), -one)])
+    # an input atom that repeats the Chevalley atom: k for +eps_k, k-1 for -eps_k
+    for mu, atom in ((eps_vec(2, 3), 2), (eps_vec(-3, 3), 2)):
+        combo = DemazureCombo(3)
+        combo.add_term(((2, 1, 3), mu), RationalCoeff(one, (atom,)))
+        with pytest.raises(ValueError):
+            expand_to_base(qbg3, combo)
+        with pytest.raises(ValueError):
+            expand_oracle(qbg3, combo, {})
+
+
+def test_normalized_absorbs_translation():
+    sym = ((1, 2, 3), (0, 1, -1))
+    [(key, atoms, numer)] = normalized([(sym, zero_vec(3), Coeff.one(3))], (2,))
+    assert key == ((1, 2, 3), zero_vec(3)) and atoms == (2,)
+    assert numer == Coeff.monomial(3, x=(0, -1, 0))
