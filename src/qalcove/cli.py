@@ -17,6 +17,7 @@ any long flag, e.g. ``rank=3`` or ``format=json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing as mp
 import os
@@ -427,10 +428,18 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"cannot write stdout: {exc.strerror}") from None
             return code
         # probed before the command runs, so a bad path costs no work; "a"
-        # keeps the old bytes until the command has succeeded
+        # keeps the old bytes until the command has succeeded, and a file
+        # the probe created is removed again if the command fails
+        created = not os.path.lexists(args.out)
         _write_out(args.out, "a", "")
-        text, code = args.func(args)
-        _write_out(args.out, "w", text if text.endswith("\n") else text + "\n")
+        try:
+            text, code = args.func(args)
+            _write_out(args.out, "w", text if text.endswith("\n") else text + "\n")
+        except BaseException:
+            if created:
+                with contextlib.suppress(OSError):
+                    os.remove(args.out)
+            raise
         return code
     except ValueError as exc:
         try:

@@ -11,7 +11,8 @@ back into characters at the shifted weights lam +- eps_j:
 * ``ic_rhs_cancel_free_first``          -- collapsed form, one directed path
   per target letter;
 * ``ic_rhs_conjecture_second``          -- collapsed second form whose
-  unbarred block stops at letter ``l``.
+  unbarred block stops at letter ``l``; ``conj_second_blocks`` returns
+  its blocks one list each, so a scan over l can add one block per step.
 
 Everything returns a ``DemazureCombo`` keyed by (window, weight shift); the
 ``*_terms`` generators stream the individual summands, each a symbol times a
@@ -22,7 +23,7 @@ theta chain of a target letter.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .alcove import admissible_subsets, filtered_A, make_chain
@@ -238,13 +239,19 @@ def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Ter
     yield from _block(qbg, p.end, dst, vec_add(p.weight, xi))
 
 
-def _inverse_terms(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
-                   chained) -> Iterator[Term]:
+def _inverse_blocks(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
+                    chained) -> Iterator[Iterator[Term]]:
     """The block for src from w, then the chained blocks for each dst."""
     w, xi = x
-    yield from _block(qbg, w, src, xi)
+    yield _block(qbg, w, src, xi)
     for dst in dsts:
-        yield from chained(qbg, w, xi, src, dst)
+        yield chained(qbg, w, xi, src, dst)
+
+
+def _inverse_terms(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
+                   chained) -> Iterator[Term]:
+    """The summands of ``_inverse_blocks``, block after block."""
+    yield from chain.from_iterable(_inverse_blocks(qbg, x, src, dsts, chained))
 
 
 def _second_dsts(n: int, m: int, l: int) -> list[int]:
@@ -284,6 +291,22 @@ def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     yield from _inverse_terms(qbg, x, m, range(1, m), _collapsed)
 
 
+def conj_second_blocks(qbg: QBG, x: AffinePair, m: int,
+                       l: int) -> list[list[Term]]:
+    """The blocks of the collapsed second expansion with unbarred cut ``l``.
+
+    In stream order: the block for -m from w, the ``_collapsed`` block for
+    each barred target -(m+1)..-n, then one for each unbarred target 1..l.
+    The first n - m + l' + 1 blocks are those of any cut m <= l' <= l.
+    """
+    n = qbg.n
+    _check_m(n, m)
+    if not m <= l <= n:
+        raise ValueError(f"l must be in {m}..{n}, got {l}")
+    return [list(b) for b in
+            _inverse_blocks(qbg, x, -m, _second_dsts(n, m, l), _collapsed)]
+
+
 def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
                          l: int) -> Iterator[Term]:
     """Summands of the collapsed second expansion with unbarred cut ``l``.
@@ -291,11 +314,7 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
     Barred blocks use the directed path to each -k, k = m+1..n; unbarred
     blocks use the path to each k = 1..l, for a chosen m <= l <= n.
     """
-    n = qbg.n
-    _check_m(n, m)
-    if not m <= l <= n:
-        raise ValueError(f"l must be in {m}..{n}, got {l}")
-    yield from _inverse_terms(qbg, x, -m, _second_dsts(n, m, l), _collapsed)
+    yield from chain.from_iterable(conj_second_blocks(qbg, x, m, l))
 
 
 def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .alcove import admissible_subsets, make_chain, subset_stats
@@ -24,12 +25,11 @@ from .expansions import (
     Term,
     _block,
     chained_sum,
+    conj_second_blocks,
     expand_to_base,
     fold_terms,
-    ic_conj_second_terms,
     ic_lhs,
     ic_rhs_cancel_free_first,
-    ic_rhs_conjecture_second,
     ic_rhs_first,
     ic_rhs_second,
 )
@@ -330,6 +330,10 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
     combination expands to e^{-w(eps_m)} gch V_w(lam); an empty working
     set is recorded as a counterexample.  For each working l the
     pre-summation stream is tested for cancellation-freeness.
+
+    The scan is incremental in l: the blocks of ``conj_second_blocks`` are
+    built and expanded once, and the right-hand side for l is the one for
+    l - 1 plus the expanded block for the letter l.
     """
     n = qbg.n
     working: dict[tuple[Window, int], tuple[int, ...]] = {}
@@ -339,13 +343,19 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
         for m in (tuple(ms) if ms is not None else range(1, n + 1)):
             x = (w, zero_vec(n))
             lhs = ic_lhs(qbg, x, m, "-")
+            blocks = conj_second_blocks(qbg, x, m, n)
             ls = []
             for l in range(m, n + 1):
-                rhs = expand_to_base(qbg, ic_rhs_conjecture_second(qbg, x, m, l))
+                cut = n - m + l + 1  # blocks[:cut] make up the form for l
+                if l == m:
+                    head = chain.from_iterable(blocks[:cut])
+                    rhs = expand_to_base(qbg, fold_terms(n, head))
+                else:
+                    rhs = rhs + expand_to_base(qbg, fold_terms(n, blocks[cut - 1]))
                 if lhs == rhs:
                     ls.append(l)
                     certs[(w, m, l)] = cancellation_certificate(
-                        ic_conj_second_terms(qbg, x, m, l))
+                        chain.from_iterable(blocks[:cut]))
             working[(w, m)] = tuple(ls)
             if not ls:
                 counter.append((w, m))

@@ -445,6 +445,26 @@ def test_out_keeps_its_bytes_on_bad_input(argv, tmp_path, capsys):
     assert text.startswith("table 1 (rank 3)") and text.count("table 1") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "2", "--m", "0"],
+    ["expand", "--rank", "2"],
+])
+def test_out_is_not_created_on_bad_input(argv, tmp_path, capsys):
+    dest = tmp_path / "new.txt"
+    code, out, err = run(argv + ["--out", str(dest)], capsys)
+    _assert_bad_input(code, out, err)
+    assert not dest.exists()
+
+
+def test_out_to_dev_stdout():
+    res = subprocess.run(
+        [sys.executable, "-m", "qalcove.cli", "tables", "--rank", "3",
+         "--out", "/dev/stdout"],
+        capture_output=True, text=True)
+    assert res.returncode == 0
+    assert res.stdout.startswith("table 1 (rank 3)")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, out, _ = run(["tables", "--rank", "3", "--out", str(dest)], capsys)
