@@ -46,6 +46,7 @@ from .typec import (
     pair,
     positive_roots,
     refl_window,
+    rho,
     root_abs,
     root_from_letters,
     vec_neg,
@@ -199,34 +200,54 @@ class AdmissibleSubset:
 # translation accumulated for wt, and the running statistics.
 _State = tuple[Window, Vec, Vec, int, int]
 
+# One precomputed move per chain position: (s_alpha, alpha^vee, the length
+# change of a quantum edge 1 - 2<rho, alpha^vee>, gamma, 1 if gamma < 0,
+# the level step -l for wt, the height step of a quantum edge).
+_Move = tuple[Window, Vec, int, Vec, int, int, int]
+
+
+@lru_cache(maxsize=None)
+def chain_moves(chain: RootChain) -> tuple[_Move, ...]:
+    """The moves of the chain's positions, with every root datum computed once."""
+    n = chain.n
+    mu = chain.mu
+    levels = alcove_walk(chain).levels if mu is not None else (0,) * len(chain.entries)
+    r = rho(n)
+    moves = []
+    for gamma, level in zip(chain.entries, levels):
+        alpha = root_abs(gamma)
+        av = coroot(alpha)
+        positive = is_positive_root(gamma)
+        dh = 0
+        if mu is not None:
+            dh = (1 if positive else -1) * (pair(mu, coroot(gamma)) - level)
+        moves.append((refl_window(alpha), av, 1 - 2 * pair(r, av), gamma,
+                       0 if positive else 1, -level, dh))
+    return tuple(moves)
+
 
 def _start(w: Window, n: int) -> _State:
     return w, zero_vec(n), zero_vec(n), 0, 0
 
 
-def _levels(chain: RootChain) -> tuple[int, ...] | None:
-    return alcove_walk(chain).levels if chain.mu is not None else None
+def _step(lengths: dict[Window, int], move: _Move, state: _State) -> _State | None:
+    """The state after taking one chain position, or None without an edge.
 
-
-def _step(qbg: QBG, chain: RootChain, levels, i: int, state: _State) -> _State | None:
-    """The state after taking chain position i + 1, or None without an edge."""
+    The edge test is that of ``QBG.edge_kind``; its product u s_alpha is
+    the next element.
+    """
     u, t, down, n_neg, height = state
-    gamma = chain.entries[i]
-    alpha = root_abs(gamma)
-    kind = qbg.edge_kind(u, alpha)
-    if kind is None:
+    s, av, q_diff, gamma, neg, c, dh = move
+    y = mul(u, s)
+    diff = lengths[y] - lengths[u]
+    if diff == q_diff:
+        down = tuple(a + b for a, b in zip(down, av))
+        height += dh
+    elif diff != 1:
         return None
-    mu = chain.mu
-    positive = is_positive_root(gamma)
-    if mu is not None:
-        c = -levels[i]
-        t = tuple(a + c * b for a, b in zip(t, act(u, gamma), strict=True))
-    if kind == "Q":
-        down = tuple(a + b for a, b in zip(down, coroot(alpha), strict=True))
-        if mu is not None:
-            sg = 1 if positive else -1
-            height += sg * (pair(mu, coroot(gamma)) - levels[i])
-    return mul(u, refl_window(alpha)), t, down, n_neg + (0 if positive else 1), height
+    if c:
+        t = tuple(a + c * b for a, b in zip(t, act(u, gamma)))
+    return y, t, down, n_neg + neg, height
 
 
 def _subset(w: Window, chain: RootChain, positions, state: _State) -> AdmissibleSubset:
@@ -249,8 +270,9 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     if hit is not None:
         return hit
 
-    levels = _levels(chain)
-    size = len(chain.entries)
+    moves = chain_moves(chain)
+    lengths = qbg.length
+    size = len(moves)
     out: list[AdmissibleSubset] = []
 
     def rec(i, taken, state):
@@ -258,7 +280,7 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
             out.append(_subset(w, chain, taken, state))
             return
         rec(i + 1, taken, state)
-        nxt = _step(qbg, chain, levels, i, state)
+        nxt = _step(lengths, moves[i], state)
         if nxt is not None:
             taken.append(i + 1)
             rec(i + 1, taken, nxt)
@@ -272,10 +294,12 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:
     """Statistics of one subset, verifying admissibility along the way."""
-    levels = _levels(chain)
+    moves = chain_moves(chain)
     state = _start(w, chain.n)
     for p in positions:
-        state = _step(qbg, chain, levels, p - 1, state)
+        if not 1 <= p <= len(moves):
+            raise ValueError(f"position {p} out of range 1..{len(moves)}")
+        state = _step(qbg.length, moves[p - 1], state)
         if state is None:
             raise ValueError(f"positions {positions} not admissible from {w}")
     return _subset(w, chain, positions, state)

@@ -56,9 +56,12 @@ from .verify import (
     verify_second_half,
 )
 
-# The largest --rank accepted: QBG(6) (46 080 elements) builds in about 10 s,
+# The largest --rank accepted: QBG(6) (46 080 elements) builds in under a second,
 # while rank 7 has 645 120 elements and rank 9 185 million.
 MAX_RANK = 6
+# The largest |xi| coordinate accepted: x-exponents are packed into bounded
+# fields (ring.pack), which a sum of n such coordinates stays well inside.
+MAX_XI = 10 ** 6
 
 # variant -> verifier(qbg, w, m, xi).  Each entry calls its verifier through
 # this module's global name, so a wrapper patched onto that name is used.
@@ -90,6 +93,8 @@ def _parse_xi(text: str | None, n: int):
     xi = tuple(int(t) for t in text.replace(",", " ").split())
     if len(xi) != n:
         raise ValueError(f"xi needs {n} coordinates, got {len(xi)}")
+    if any(abs(c) > MAX_XI for c in xi):
+        raise ValueError(f"xi coordinates must lie in -{MAX_XI}..{MAX_XI}")
     return xi
 
 

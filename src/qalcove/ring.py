@@ -1,11 +1,21 @@
 r"""Exact coefficient ring and formal Demazure-symbol combinations.
 
 A ``Coeff`` is an integer Laurent polynomial in q, x_1..x_n together with a
-formal exponential e^nu (nu a weight): a sparse dict mapping
-(q-exponent, x-exponent tuple, nu) to an integer.  The variable x_i stands
+formal exponential e^nu (nu a weight): a sparse dict from monomials
+(q-exponent, x-exponent tuple, nu) to integers.  The variable x_i stands
 for q^{<lam, alpha_i^vee>} where lam is a symbolic dominant weight, so any
 factor q^{-<lam, xi>} with xi = sum c_i alpha_i^vee in the coroot lattice
 is the monomial prod x_i^{-c_i}.
+
+Each monomial is stored packed into one int (``pack``), so a product of
+monomials is one integer addition and a sum of coefficients one dict
+update.  The 2n x- and nu-exponents sit in FIELD_BITS-bit fields, each
+biased by FIELD_BIAS and topped by a guard bit that every stored key
+keeps clear; the q-exponent is the unbounded signed part above them, so
+integer order of keys is the order of the (q, x, nu) tuples.  A field
+that would leave EXP_MIN..EXP_MAX raises ValueError and never wraps.
+Only rendering, sorting, ``terms``, ``specialize`` and ``shift_lambda``
+decode keys.
 
 A ``RationalCoeff`` divides a Coeff by a product of distinct atoms
 1 - q^{-1} x_k^{-1} (the factor 1 - q^{-<lam+w_k, alpha_k^vee>} of the
@@ -26,76 +36,150 @@ dicts, then reduces each sum once.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .typec import (
     Vec,
     Window,
     alpha_coords,
     pair,
     simple_coroot,
-    vec_add,
     window_str,
     zero_vec,
 )
 
 TermKey = tuple[int, tuple[int, ...], tuple[int, ...]]  # (q-exp, x-exps, nu)
 
+# Packed monomials, with W = FIELD_BITS and B = FIELD_BIAS:
+#
+#     key = q << 2nW | (x_1 + B) << (2n-1)W | ... | (nu_n + B)
+#
+# A field holds e + B for e in EXP_MIN..EXP_MAX, so its top (guard) bit is 0.
+FIELD_BITS = 32
+FIELD_BIAS = 1 << (FIELD_BITS - 2)
+EXP_MIN, EXP_MAX = -FIELD_BIAS, FIELD_BIAS - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _words(n: int) -> tuple[int, int]:
+    """(the bias in every field, the guard bit of every field) at rank n."""
+    bias = guard = 0
+    for _ in range(2 * n):
+        bias = (bias << FIELD_BITS) | FIELD_BIAS
+        guard = (guard << FIELD_BITS) | (1 << (FIELD_BITS - 1))
+    return bias, guard
+
+
+@lru_cache(maxsize=1 << 14)  # the monomials of one sweep repeat often
+def pack(n: int, key: TermKey) -> int:
+    """The packed int of a (q, x, nu) monomial; ValueError if an x- or
+    nu-exponent lies outside EXP_MIN..EXP_MAX."""
+    q, x, nu = key
+    if len(x) != n or len(nu) != n:
+        raise ValueError(f"monomial {key} does not have rank {n}")
+    out = q
+    for e in (*x, *nu):
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ValueError(f"exponent {e} outside the packed range "
+                             f"{EXP_MIN}..{EXP_MAX}")
+        out = (out << FIELD_BITS) | (e + FIELD_BIAS)
+    return out
+
+
+def unpack(n: int, key: int) -> TermKey:
+    """The (q, x, nu) monomial of a packed int."""
+    fields = []
+    for _ in range(2 * n):
+        fields.append((key & _FIELD_MASK) - FIELD_BIAS)
+        key >>= FIELD_BITS
+    fields.reverse()
+    return key, tuple(fields[:n]), tuple(fields[n:])
+
 
 class Coeff:
-    """Sparse integer Laurent polynomial in q, x_1..x_n, e^nu."""
+    """Sparse integer Laurent polynomial in q, x_1..x_n, e^nu.
 
-    __slots__ = ("n", "terms")
+    ``packed`` maps each monomial's packed int (see ``pack``) to its nonzero
+    coefficient; ``terms`` is the same polynomial keyed by (q, x, nu).  A
+    Coeff is never changed after it is built.
+    """
+
+    __slots__ = ("n", "packed")
 
     def __init__(self, n: int, terms: dict[TermKey, int] | None = None):
         self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.packed = {pack(n, k): c for k, c in (terms or {}).items() if c}
 
     # -- constructors --
 
     @classmethod
+    def from_packed(cls, n: int, packed: dict[int, int]) -> "Coeff":
+        out = cls.__new__(cls)
+        out.n = n
+        out.packed = {k: c for k, c in packed.items() if c}
+        return out
+
+    @classmethod
     def monomial(cls, n: int, c: int = 1, q: int = 0,
                  x: Vec | None = None, nu: Vec | None = None) -> "Coeff":
-        return cls(n, {(q, x or zero_vec(n), nu or zero_vec(n)): c})
+        return cls.from_packed(n, {pack(n, (q, x or zero_vec(n), nu or zero_vec(n))): c})
 
     @classmethod
     def one(cls, n: int) -> "Coeff":
         return cls.monomial(n)
 
+    @property
+    def terms(self) -> dict[TermKey, int]:
+        n = self.n
+        return {unpack(n, k): c for k, c in self.packed.items()}
+
     # -- ring operations --
 
     def __add__(self, other: "Coeff") -> "Coeff":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self.packed)
+        for k, c in other.packed.items():
             out[k] = out.get(k, 0) + c
-        return Coeff(self.n, out)
+        return Coeff.from_packed(self.n, out)
 
     def __neg__(self) -> "Coeff":
-        return Coeff(self.n, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        out: dict[TermKey, int] = {}
-        for (q1, x1, n1), c1 in self.terms.items():
-            for (q2, x2, n2), c2 in other.terms.items():
-                k = (q1 + q2, vec_add(x1, x2), vec_add(n1, n2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return Coeff(self.n, out)
+        # k1 + k2 adds the biased fields without carries; subtracting one
+        # bias leaves e1 + e2 + bias, which sets its field's guard bit iff
+        # e1 + e2 is out of range (a negative field borrows and sets it too)
+        bias, guard = _words(self.n)
+        out: dict[int, int] = {}
+        get = out.get
+        seen = 0
+        for k1, c1 in self.packed.items():
+            for k2, c2 in other.packed.items():
+                k = k1 + k2 - bias
+                seen |= k
+                out[k] = get(k, 0) + c1 * c2
+        if seen & guard:
+            raise ValueError(f"exponent outside the packed range "
+                             f"{EXP_MIN}..{EXP_MAX} in a product")
+        return Coeff.from_packed(self.n, out)
 
     def scale(self, c: int) -> "Coeff":
-        return Coeff(self.n, {k: c * v for k, v in self.terms.items()})
+        return Coeff.from_packed(self.n, {k: c * v for k, v in self.packed.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Coeff) and self.n == other.n and self.terms == other.terms
+        return isinstance(other, Coeff) and self.n == other.n and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, tuple(sorted(self.packed.items()))))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- substitutions --
 
@@ -120,10 +204,11 @@ class Coeff:
     # -- rendering --
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        n = self.n
+        return [(unpack(n, k), c) for k, c in sorted(self.packed.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for (q, x, nu), c in self.sorted_terms():
@@ -155,17 +240,19 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
     """Exact quotient c / (1 - q^{-1}x_k^{-1}), or None if not divisible.
 
     Substituting y = q^{-1}x_k^{-1} groups terms into univariate Laurent
-    polynomials in y; each group must have coefficient sum zero.
+    polynomials in y; each group must have coefficient sum zero.  On packed
+    keys, multiplying by y^-1 = q x_k adds ``step``.
     """
     n = c.n
-    groups: dict[tuple, dict[int, int]] = {}
-    for (q, x, nu), v in c.terms.items():
-        bk = x[k - 1]
-        rest = tuple(0 if i == k - 1 else b for i, b in enumerate(x))
-        g = groups.setdefault((q - bk, rest, nu), {})
+    shift = FIELD_BITS * (2 * n - k)  # the x_k field
+    step = (1 << (2 * n * FIELD_BITS)) + (1 << shift)
+    groups: dict[int, dict[int, int]] = {}
+    for key, v in c.packed.items():
+        bk = ((key >> shift) & _FIELD_MASK) - FIELD_BIAS
+        g = groups.setdefault(key - bk * step, {})  # x_k^0, q^(q - bk)
         g[-bk] = g.get(-bk, 0) + v
-    out: dict[TermKey, int] = {}
-    for (qa, rest, nu), poly in groups.items():
+    out: dict[int, int] = {}
+    for base, poly in groups.items():
         if sum(poly.values()) != 0:
             return None
         lo, hi = min(poly), max(poly)
@@ -173,10 +260,9 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
         for j in range(lo, hi):  # quotient degrees lo..hi-1
             run += poly.get(j, 0)
             if run:
-                x = tuple(-j if i == k - 1 else b for i, b in enumerate(rest))
-                key = (qa - j, x, nu)
+                key = base - j * step
                 out[key] = out.get(key, 0) + run
-    return Coeff(n, out)
+    return Coeff.from_packed(n, out)
 
 
 class RationalCoeff:
@@ -259,10 +345,13 @@ def normalize(x: tuple[Window, Vec], mu: Vec) -> tuple[tuple[Window, Vec], Coeff
     the monomial prod x_i^{-c_i} with xi = sum c_i alpha_i^vee.
     """
     w, xi = x
-    n = len(w)
+    return (w, mu), _translation(mu, xi)
+
+
+@lru_cache(maxsize=1 << 12)  # shared, so never changed: see Coeff
+def _translation(mu: Vec, xi: Vec) -> Coeff:
     coords = alpha_coords(xi)
-    mult = Coeff.monomial(n, 1, q=-pair(mu, xi), x=tuple(-c for c in coords))
-    return (w, mu), mult
+    return Coeff.monomial(len(xi), 1, q=-pair(mu, xi), x=tuple(-c for c in coords))
 
 
 def normalized(terms, atoms: tuple[int, ...] = ()):
@@ -294,11 +383,11 @@ class DemazureCombo:
         acc: dict[tuple, dict[TermKey, int]] = {}
         for key, atoms, numer in items:
             bucket = acc.setdefault((key, tuple(sorted(atoms))), {})
-            for t, c in numer.terms.items():
+            for t, c in numer.packed.items():
                 bucket[t] = bucket.get(t, 0) + c
         out = cls(n)
         for (key, atoms), bucket in acc.items():
-            out.add_term(key, RationalCoeff(Coeff(n, bucket), atoms))
+            out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
         return out
 
     def add_term(self, key: tuple[Window, Vec], rc: RationalCoeff):
@@ -315,8 +404,10 @@ class DemazureCombo:
         self.add_term(key, RationalCoeff(c * mult))
 
     def _items(self, s: int = 1) -> list:
-        """The ``summed`` items of s times this combination."""
-        return [(k, rc.atoms, rc.numer.scale(s)) for k, rc in self.terms.items()]
+        """The ``summed`` items of s times this combination.  ``summed``
+        only reads numerators, so at s = 1 they pass through uncopied."""
+        return [(k, rc.atoms, rc.numer if s == 1 else rc.numer.scale(s))
+                for k, rc in self.terms.items()]
 
     def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
         return DemazureCombo.summed(self.n, self._items() + other._items())

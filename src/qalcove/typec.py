@@ -206,7 +206,7 @@ def act(w: Window, v: Vec) -> Vec:
 
 def mul(u: Window, v: Window) -> Window:
     """(uv)(i) = u(v(i))."""
-    return tuple(w_apply(u, vi) for vi in v)
+    return tuple(u[vi - 1] if vi > 0 else -u[-vi - 1] for vi in v)
 
 
 def inv(w: Window) -> Window:
@@ -242,9 +242,22 @@ def refl_window(alpha: Vec) -> Window:
 
 
 def length(w: Window) -> int:
-    """Number of positive roots sent to negative roots."""
-    n = len(w)
-    return sum(1 for a in positive_roots(n) if not is_positive_root(act(w, a)))
+    """Number of positive roots sent to negative roots, in closed form.
+
+    2eps_i turns negative iff w(i) < 0.  For i < j, eps_i - eps_j and
+    eps_i + eps_j both turn negative iff w(i) < 0 and |w(i)| < |w(j)|, and
+    exactly one of them does iff |w(i)| > |w(j)|.
+    """
+    out = 0
+    for i, a in enumerate(w):
+        if a < 0:
+            out += 1
+        for b in w[i + 1:]:
+            if abs(a) > abs(b):
+                out += 1
+            elif a < 0:
+                out += 2
+    return out
 
 
 def reduced_word(w: Window) -> list[int]:

@@ -287,7 +287,7 @@ def cancellation_certificate(terms: Iterable[Term]) -> bool:
     for sym, mu, c in terms:
         key, mult = normalize(sym, mu)
         prod = c * mult
-        for mono, coef in prod.terms.items():
+        for mono, coef in prod.packed.items():
             s = 1 if coef > 0 else -1
             full = (key, mono)
             prev = seen.get(full)

@@ -2,8 +2,18 @@
 
 from itertools import combinations
 
-from qalcove.alcove import admissible_subsets, filtered_A, make_chain
-from qalcove.typec import root_from_letters
+from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
+from qalcove.typec import (
+    act,
+    coroot,
+    is_positive_root,
+    mul,
+    pair,
+    positive_roots,
+    refl_window,
+    root_abs,
+    root_from_letters,
+)
 
 
 def _edge(qbg, w, i, j):
@@ -150,3 +160,57 @@ def assert_criterion_matches(qbg, group=None):
     for w in group or qbg.group:
         for a in qbg.pos_roots:
             assert (qbg.edge_kind(w, a) is not None) == qbg.criterion_edge(w, a), (w, a)
+
+
+# --- oracles kept from the code the inner loops replaced ---------------------
+
+def root_count_length(w):
+    """Weyl length as the number of positive roots that w sends negative."""
+    n = len(w)
+    return sum(1 for a in positive_roots(n) if not is_positive_root(act(w, a)))
+
+
+def _oracle_step(qbg, chain, levels, i, state):
+    """One walk step recomputing every root datum, with the QBG's edge test."""
+    u, t, down, n_neg, height = state
+    gamma = chain.entries[i]
+    alpha = root_abs(gamma)
+    kind = qbg.edge_kind(u, alpha)
+    if kind is None:
+        return None
+    mu = chain.mu
+    positive = is_positive_root(gamma)
+    if mu is not None:
+        c = -levels[i]
+        t = tuple(a + c * b for a, b in zip(t, act(u, gamma), strict=True))
+    if kind == "Q":
+        down = tuple(a + b for a, b in zip(down, coroot(alpha), strict=True))
+        if mu is not None:
+            sg = 1 if positive else -1
+            height += sg * (pair(mu, coroot(gamma)) - levels[i])
+    return mul(u, refl_window(alpha)), t, down, n_neg + (0 if positive else 1), height
+
+
+def oracle_subsets(qbg, w, chain):
+    """(positions, end, down, n_neg, wt, height) of every w-admissible subset,
+    by the depth-first walk over ``_oracle_step``, sorted by positions."""
+    n = chain.n
+    levels = alcove_walk(chain).levels if chain.mu is not None else None
+    out = []
+
+    def rec(i, taken, state):
+        if i == len(chain.entries):
+            u, t, down, n_neg, height = state
+            if chain.mu is None:
+                out.append((tuple(taken), u, down, n_neg, None, None))
+            else:
+                wt = tuple(a - b for a, b in zip(act(u, chain.mu), t))
+                out.append((tuple(taken), u, down, n_neg, wt, height))
+            return
+        rec(i + 1, taken, state)
+        nxt = _oracle_step(qbg, chain, levels, i, state)
+        if nxt is not None:
+            rec(i + 1, taken + [i + 1], nxt)
+
+    rec(0, [], (w, (0,) * n, (0,) * n, 0, 0))
+    return sorted(out)

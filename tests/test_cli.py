@@ -517,3 +517,32 @@ def test_full_stdout_is_exit_2():
             stdout=full, stderr=subprocess.PIPE, text=True)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_python_dash_m_qalcove():
+    ok = subprocess.run(
+        [sys.executable, "-m", "qalcove", "tables", "--rank", "3"],
+        capture_output=True, text=True)
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("table 1 (rank 3)")
+    bad = subprocess.run(
+        [sys.executable, "-m", "qalcove", "verify", "--rank", "0"],
+        capture_output=True, text=True)
+    assert bad.returncode == 2
+    assert bad.stdout == "" and bad.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("xi", ["1000001,0", "0,-1000001"])
+def test_xi_beyond_bound_is_exit_2(xi, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["verify", "--rank", "2", "--xi", xi], capsys)
+    _assert_bad_input(code, out, err)
+    assert "xi coordinates" in err
+
+
+def test_xi_at_bound_verifies(capsys):
+    code, out, _ = run(["verify", "--rank", "2", "--w", "[2,-1]", "--m", "1",
+                        "--variant", "first,second", "--xi", "1000000,-1000000"],
+                       capsys)
+    assert code == 0
+    assert out.count("[ok]") == 2
