@@ -19,10 +19,12 @@ any formula, so the level pattern of the eps-chains is a checked fact.
 
 A subset A = {i_1 < ... < i_s} of chain positions (1-based) is w-admissible
 when the unsigned labels |gamma_{i_j}| trace a directed path in the quantum
-Bruhat graph starting at w.  Statistics: ed(A) = endpoint; down(A) = sum of
-|gamma|^vee over quantum steps; n(A) = number of negative chain entries in
-A; and for mu-chains wt(A) = -w s_{gamma_{i_1},-l_{i_1}} ... (-mu) and
-height(A) = sum over quantum steps of sgn(gamma)(<mu,gamma^vee> - l).
+Bruhat graph starting at w.  A subset carries ed(A), its endpoint, and
+down(A), the sum of |gamma|^vee over its quantum steps; both compose along
+a concatenated chain.  The mu-chain statistics wt(A), height(A) and n(A)
+are not tracked: ``expansions.chevalley_expand`` splits A over the
+(+-eps_k)-chain P * Q as A_1 over P and A_2 over Q, and reads
+wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .qbg import QBG
 from .typec import (
     Vec,
     Window,
-    act,
     coroot,
     eps_vec,
     inv,
@@ -181,53 +183,31 @@ def reducedness_check(chain: RootChain) -> bool:
 
 # --- admissible subsets ------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibleSubset:
-    base: Window
-    chain: RootChain
+class AdmissibleSubset(NamedTuple):
     positions: tuple[int, ...]  # 1-based chain positions
     end: Window
     down: Vec
-    n_neg: int
-    wt: Vec | None = None
-    height: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
-# A walk state is (u, t, down, n_neg, height): the current element, the
-# translation accumulated for wt, and the running statistics.
-_State = tuple[Window, Vec, Vec, int, int]
+# A walk state is (u, down): the current element and the running sum of
+# the coroots of quantum steps.
+_State = tuple[Window, Vec]
 
 # One precomputed move per chain position: (s_alpha, alpha^vee, the length
-# change of a quantum edge 1 - 2<rho, alpha^vee>, gamma, 1 if gamma < 0,
-# the level step -l for wt, the height step of a quantum edge).
-_Move = tuple[Window, Vec, int, Vec, int, int, int]
+# change of a quantum edge 1 - 2<rho, alpha^vee>).
+_Move = tuple[Window, Vec, int]
 
 
 @lru_cache(maxsize=None)
 def chain_moves(chain: RootChain) -> tuple[_Move, ...]:
     """The moves of the chain's positions, with every root datum computed once."""
-    n = chain.n
-    mu = chain.mu
-    levels = alcove_walk(chain).levels if mu is not None else (0,) * len(chain.entries)
-    r = rho(n)
+    r = rho(chain.n)
     moves = []
-    for gamma, level in zip(chain.entries, levels):
+    for gamma in chain.entries:
         alpha = root_abs(gamma)
         av = coroot(alpha)
-        positive = is_positive_root(gamma)
-        dh = 0
-        if mu is not None:
-            dh = (1 if positive else -1) * (pair(mu, coroot(gamma)) - level)
-        moves.append((refl_window(alpha), av, 1 - 2 * pair(r, av), gamma,
-                       0 if positive else 1, -level, dh))
+        moves.append((refl_window(alpha), av, 1 - 2 * pair(r, av)))
     return tuple(moves)
-
-
-def _start(w: Window, n: int) -> _State:
-    return w, zero_vec(n), zero_vec(n), 0, 0
 
 
 def _step(lengths: dict[Window, int], move: _Move, state: _State) -> _State | None:
@@ -236,30 +216,19 @@ def _step(lengths: dict[Window, int], move: _Move, state: _State) -> _State | No
     The edge test is that of ``QBG.edge_kind``; its product u s_alpha is
     the next element.
     """
-    u, t, down, n_neg, height = state
-    s, av, q_diff, gamma, neg, c, dh = move
+    u, down = state
+    s, av, q_diff = move
     y = mul(u, s)
     diff = lengths[y] - lengths[u]
     if diff == q_diff:
-        down = tuple(a + b for a, b in zip(down, av))
-        height += dh
-    elif diff != 1:
-        return None
-    if c:
-        t = tuple(a + c * b for a, b in zip(t, act(u, gamma)))
-    return y, t, down, n_neg + neg, height
-
-
-def _subset(w: Window, chain: RootChain, positions, state: _State) -> AdmissibleSubset:
-    u, t, down, n_neg, height = state
-    if chain.mu is None:
-        return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg)
-    wt = tuple(a - b for a, b in zip(act(u, chain.mu), t, strict=True))
-    return AdmissibleSubset(w, chain, tuple(positions), u, down, n_neg, wt, height)
+        return y, tuple(a + b for a, b in zip(down, av))
+    if diff == 1:
+        return y, down
+    return None
 
 
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
-    """All w-admissible subsets of the chain, with cached statistics.
+    """All w-admissible subsets of the chain, with endpoint and down.
 
     Depth-first over positions, pruning on edge existence; results are
     memoized on (w, chain) inside the QBG instance.
@@ -277,7 +246,7 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
 
     def rec(i, taken, state):
         if i == size:
-            out.append(_subset(w, chain, taken, state))
+            out.append(AdmissibleSubset(tuple(taken), *state))
             return
         rec(i + 1, taken, state)
         nxt = _step(lengths, moves[i], state)
@@ -286,23 +255,23 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
             rec(i + 1, taken, nxt)
             taken.pop()
 
-    rec(0, [], _start(w, chain.n))
+    rec(0, [], (w, zero_vec(chain.n)))
     out.sort(key=lambda s: s.positions)
     cache[key] = out
     return out
 
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:
-    """Statistics of one subset, verifying admissibility along the way."""
+    """Endpoint and down of one subset, verifying admissibility along the way."""
     moves = chain_moves(chain)
-    state = _start(w, chain.n)
+    state = (w, zero_vec(chain.n))
     for p in positions:
         if not 1 <= p <= len(moves):
             raise ValueError(f"position {p} out of range 1..{len(moves)}")
         state = _step(qbg.length, moves[p - 1], state)
         if state is None:
             raise ValueError(f"positions {positions} not admissible from {w}")
-    return _subset(w, chain, positions, state)
+    return AdmissibleSubset(tuple(positions), *state)
 
 
 def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset]:
@@ -331,27 +300,3 @@ def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset
         if (u[src - 1] if src > 0 else -u[-src - 1]) == dst:
             out.append(A)
     return out
-
-
-def split_stats(qbg: QBG, A: AdmissibleSubset) -> tuple[AdmissibleSubset, AdmissibleSubset]:
-    """Split a subset of the eps_k-chain at the Gamma*/Theta junction.
-
-    Returns (A1 over Gamma*_k(k) from the same base, A2 over Theta_k from
-    ed(A1)) and asserts the statistics identities
-      height(A) = <eps_k, down(A1)>,  wt(A) = ed(A1) eps_k,  n(A) = |A2|.
-    """
-    if A.chain.kind != "eps":
-        raise ValueError("split_stats needs a subset of an eps-chain")
-    k, n = A.chain.k, A.chain.n
-    cut = 2 * n - k  # length of Gamma*_k(k)
-    pos1 = tuple(p for p in A.positions if p <= cut)
-    pos2 = tuple(p - cut for p in A.positions if p > cut)
-    A1 = subset_stats(qbg, A.base, make_chain("gamma_star", k, n), pos1)
-    A2 = subset_stats(qbg, A1.end, make_chain("theta", k, n), pos2)
-    ek = eps_vec(k, n)
-    assert A.height == pair(ek, A1.down)
-    assert A.wt == act(A1.end, ek)
-    assert A.n_neg == len(A2.positions)
-    assert A.end == A2.end
-    assert A.down == tuple(a + b for a, b in zip(A1.down, A2.down, strict=True))
-    return A1, A2

@@ -131,6 +131,8 @@ def _cmd_verify(args) -> tuple[str, int]:
     n = args.rank
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.sample < 0:
+        raise ValueError(f"--sample must be at least 0, got {args.sample}")
     variants = [v.strip() for v in args.variant.split(",")]
     for v in variants:
         if v not in VERIFIERS:

@@ -79,15 +79,21 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     """gch V_w(lam + eps_k) (sign '+') or gch V_w(lam - eps_k) (sign '-')
     as a combination of the gch V_y(lam).
 
-    Over the reduced chain for +-eps_k,
+    Over the reduced chain for mu = +-eps_k,
 
-        gch V_w(lam +- eps_k)
+        gch V_w(lam + mu)
             = f * sum_A (-1)^{n(A)} q^{-height(A)} e^{wt(A)}
                         gch V_{ed(A) t_{down(A)}}(lam)
 
     where f = 1/(1 - q^{-1} x_k^{-1}) in the plus direction,
     f = 1/(1 - q^{-1} x_{k-1}^{-1}) in the minus direction for k >= 2,
     and f = 1 for the minus direction at k = 1.
+
+    The chain is P * Q with P = Gamma*_k(k), Q = Theta_k for eps_k and
+    P = Theta*_k, Q = Gamma_k(k) for -eps_k.  Splitting A = A_1 u A_2 gives
+    wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|, so
+    the sum runs over A_1 in A(w, P), each with the ``_block`` from ed(A_1)
+    for the letter -t, where mu = eps_t, read at lam.
     """
     n = qbg.n
     if not 1 <= k <= n:
@@ -97,11 +103,14 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     cache = qbg._chev_cache
     key = (w, sign, k)
     if key not in cache:
-        chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
+        t = k if sign == "+" else -k
+        mu = eps_vec(t, n)
+        head = make_chain("gamma_star" if t > 0 else "theta_star", k, n)
         atom = k if sign == "+" else k - 1
-        terms = (((A.end, A.down), zero_vec(n),
-                  Coeff.monomial(n, _sign(A.n_neg), q=-A.height, nu=A.wt))
-                 for A in admissible_subsets(qbg, w, chain))
+        terms = ((sym, zero_vec(n), c)
+                 for A1 in admissible_subsets(qbg, w, head)
+                 for sym, _, c in _block(qbg, A1.end, -t, A1.down,
+                                         nu=act(A1.end, mu)))
         cache[key] = DemazureCombo.summed(n, normalized(terms, (atom,) if atom else ()))
     return cache[key]
 
@@ -204,19 +213,20 @@ def _check_m(n: int, m: int):
         raise ValueError(f"m must be in 1..{n}, got {m}")
 
 
-def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1) -> Iterator[Term]:
+def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1,
+           nu: Vec | None = None) -> Iterator[Term]:
     """Signed summands of the block from v for the target letter t.
 
     An unbarred t sums over Gamma_t(t) and lands at lam + eps_t; a barred
     t = -j sums over Theta_j and lands at lam - eps_j.  Each subset B gives
-    s (-1)^{|B|} q^{<eps_t, dxi>} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
+    s (-1)^{|B|} q^{<eps_t, dxi>} e^{nu} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
     """
     n = qbg.n
     mu = eps_vec(t, n)
     chain = make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
     qe = pair(mu, dxi)
     for B in admissible_subsets(qbg, v, chain):
-        c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe)
+        c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe, nu=nu)
         yield (B.end, vec_add(B.down, dxi)), mu, c
 
 

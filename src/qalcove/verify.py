@@ -143,9 +143,8 @@ def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureComb
     """
     n = qbg.n
     lhs = fold_terms(n, _block(qbg, w, t, zero_vec(n)))
-    shift = Coeff.monomial(n, 1, nu=act(w, eps_vec(t, n)))
-    return lhs, fold_terms(n, ((sym, zero_vec(n), c * shift)
-                               for sym, _, c in _block(qbg, w, -t, zero_vec(n))))
+    rhs = _block(qbg, w, -t, zero_vec(n), nu=act(w, eps_vec(t, n)))
+    return lhs, fold_terms(n, ((sym, zero_vec(n), c) for sym, _, c in rhs))
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:

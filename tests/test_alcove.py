@@ -1,20 +1,21 @@
 """Root chains, geometric alcove walks, admissible subsets."""
 
+import random
+
 import pytest
 
+from helpers import oracle_subsets
 from qalcove.alcove import (
     CHAIN_KINDS,
-    AdmissibleSubset,
     RootChain,
     admissible_subsets,
     alcove_walk,
     filtered_A,
     make_chain,
     reducedness_check,
-    split_stats,
     subset_stats,
 )
-from qalcove.typec import act, eps_vec, vec_neg, weyl_group
+from qalcove.typec import act, eps_vec, pair, vec_add, vec_neg
 
 
 def test_make_chain_frozen():
@@ -123,9 +124,6 @@ def test_admissible_subsets_theta3_frozen(qbg3):
         ((1, 2), (1, 3, 2), (1, 0, -1)),
         ((2,), (3, 1, 2), (0, 1, -1)),
     ]
-    # theta subsets have no negative entries and no mu statistics
-    assert all(A.n_neg == len(A.positions) for A in subs)
-    assert all(A.wt is None and A.height is None for A in subs)
 
 
 def test_empty_subset_statistics(qbg3):
@@ -135,8 +133,9 @@ def test_empty_subset_statistics(qbg3):
             A = subset_stats(qbg3, w, chain, ())
             assert A.end == w
             assert A.down == (0, 0, 0)
-            assert A.height == 0
-            assert A.wt == act(w, eps_vec(k, 3))
+            # the oracle walk's empty subset: n(A) = 0, wt = w eps_k, height 0
+            first = oracle_subsets(qbg3, w, chain)[0]
+            assert first == ((), w, (0, 0, 0), 0, act(w, eps_vec(k, 3)), 0)
 
 
 def test_subset_stats_matches_enumeration(qbg3):
@@ -194,23 +193,44 @@ def test_filtered_A_endpoint_condition(qbg3):
                     assert -w_apply(u, -src) == dst
 
 
-def test_split_stats_exhaustive_rank3(qbg3):
-    # split_stats asserts height/wt/n identities internally
+def _split_walk(qbg, w, t):
+    """The subsets of the eps_t-chain P * Q (t = +-k) from A_1 over P and
+    A_2 over Q from ed(A_1), with the split statistics, in the form of
+    ``oracle_subsets``."""
+    n, k = qbg.n, abs(t)
+    mu = eps_vec(t, n)
+    head = make_chain("gamma_star" if t > 0 else "theta_star", k, n)
+    tail = make_chain("theta" if t > 0 else "gamma", k, n)
+    cut = len(head.entries)
+    out = []
+    for A1 in admissible_subsets(qbg, w, head):
+        for A2 in admissible_subsets(qbg, A1.end, tail):
+            positions = A1.positions + tuple(p + cut for p in A2.positions)
+            out.append((positions, A2.end, vec_add(A1.down, A2.down),
+                        len(A2.positions), act(A1.end, mu), pair(mu, A1.down)))
+    return sorted(out)
+
+
+def _assert_split_identities(qbg, elements):
+    # ed, down compose; wt(A) = ed(A1) mu, height(A) = <mu, down(A1)>, n(A) = |A2|
     count = 0
-    for k in (1, 2, 3):
-        chain = make_chain("eps", k, 3)
-        for w in weyl_group(3):
-            for A in admissible_subsets(qbg3, w, chain):
-                A1, A2 = split_stats(qbg3, A)
-                assert A1.base == w and A2.base == A1.end
-                count += 1
-    assert count > 1000
+    for k in range(1, qbg.n + 1):
+        for t in (k, -k):
+            chain = make_chain("eps" if t > 0 else "eps_neg", k, qbg.n)
+            for w in elements:
+                want = oracle_subsets(qbg, w, chain)
+                assert _split_walk(qbg, w, t) == want, (t, w)
+                count += len(want)
+    return count
 
 
-def test_split_stats_rejects_other_chains(qbg3):
-    A = admissible_subsets(qbg3, (1, 2, 3), make_chain("eps_neg", 2, 3))[0]
-    with pytest.raises(ValueError):
-        split_stats(qbg3, A)
+def test_split_identities_exhaustive(qbg2, qbg3):
+    assert _assert_split_identities(qbg2, qbg2.group) == 144
+    assert _assert_split_identities(qbg3, qbg3.group) == 2320
+
+
+def test_split_identities_rank4_sample(qbg4):
+    assert _assert_split_identities(qbg4, random.Random(9).sample(qbg4.group, 24)) > 1000
 
 
 def test_theta_paths_are_geodesics(qbg3):

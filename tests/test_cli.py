@@ -183,6 +183,14 @@ def test_jobs_below_1_is_exit_2(jobs, monkeypatch, capsys):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("sample", ["-1", "-3"])
+def test_negative_sample_is_exit_2(sample, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["verify", "--rank", "2", "--sample", sample], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--sample must be at least 0" in err
+
+
 def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch, capsys):
     sizes = []
 

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from qalcove.alcove import admissible_subsets, make_chain
+from helpers import oracle_subsets
+from qalcove.alcove import make_chain
 from qalcove.expansions import (
     _block,
     _inverse_terms,
@@ -42,15 +43,16 @@ def fold_oracle(n, terms):
 
 
 def chevalley_oracle(qbg, w, sign, k, cache):
-    """gch V_w(lam +- eps_k): subsets summed one at a time, then each
+    """gch V_w(lam +- eps_k) over the whole reduced chain, with wt, height
+    and n(A) from the oracle walk: subsets summed one at a time, then each
     coefficient divided by the atom."""
     if (w, sign, k) not in cache:
         n = qbg.n
         chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
         plain = fold_oracle(n, (
-            ((A.end, A.down), zero_vec(n),
-             Coeff.monomial(n, -1 if A.n_neg % 2 else 1, q=-A.height, nu=A.wt))
-            for A in admissible_subsets(qbg, w, chain)))
+            ((end, down), zero_vec(n),
+             Coeff.monomial(n, -1 if n_neg % 2 else 1, q=-height, nu=wt))
+            for _, end, down, n_neg, wt, height in oracle_subsets(qbg, w, chain)))
         atom = k if sign == "+" else k - 1
         combo = DemazureCombo(n)
         for key, rc in plain.terms.items():
