@@ -133,7 +133,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.sample < 0:
         raise ValueError(f"--sample must be at least 0, got {args.sample}")
-    variants = [v.strip() for v in args.variant.split(",")]
+    # each variant once, in the order given
+    variants = list(dict.fromkeys(v.strip() for v in args.variant.split(",")))
     for v in variants:
         if v not in VERIFIERS:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
@@ -292,14 +293,18 @@ def _cmd_expand(args) -> tuple[str, int]:
         raise ValueError("--xi applies to the inverse forms only")
     if args.k is not None and args.m is not None:
         raise ValueError("--k (direct form) and --m (inverse forms) exclude each other")
+    if args.sign is not None and args.k is None:
+        raise ValueError("--sign applies to the direct form --k only")
+    if args.variant is not None and args.k is not None:
+        raise ValueError("--variant applies to the inverse forms --m only")
     if args.l is not None and (args.k is not None or args.variant != "conj"):
         raise ValueError("--l applies to --variant conj only")
     qbg = QBG(n)
     x = (w, xi)
     if args.k is not None:
-        sign = "+" if args.sign == "plus" else "-"
+        sign = "-" if args.sign == "minus" else "+"
         combo = chevalley_expand(qbg, w, sign, args.k)
-    elif args.variant == "first":
+    elif args.variant in (None, "first"):
         combo = ic_rhs_first(qbg, x, args.m)
     elif args.variant == "second":
         combo = ic_rhs_second(qbg, x, args.m)
@@ -369,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pe, ("text", "json", "latex"))
     pe.add_argument("--w", help="element (default: identity)")
     pe.add_argument("--k", type=int, help="direct form: shift index")
-    pe.add_argument("--sign", choices=("plus", "minus"), default="plus")
+    pe.add_argument("--sign", choices=("plus", "minus"),
+                    help="direct form: plus (default) or minus")
     pe.add_argument("--m", type=int, help="inverse forms: letter m")
     pe.add_argument("--l", type=int, help="cut point for --variant conj")
     pe.add_argument("--xi", help="translation coordinates")
-    pe.add_argument("--variant", default="first",
-                    choices=("first", "second", "cf", "conj"))
+    pe.add_argument("--variant", choices=("first", "second", "cf", "conj"),
+                    help="inverse form (default first)")
     pe.set_defaults(func=_cmd_expand)
     return ap
 

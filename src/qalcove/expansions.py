@@ -28,7 +28,15 @@ from typing import Iterable, Iterator
 
 from .alcove import admissible_subsets, filtered_A, make_chain
 from .qbg import QBG
-from .ring import Coeff, DemazureCombo, normalized
+from .ring import (
+    Coeff,
+    DemazureCombo,
+    check_packed,
+    normalized,
+    pack,
+    packed_words,
+    translation_key,
+)
 from .typec import (
     Vec,
     Window,
@@ -92,8 +100,9 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     The chain is P * Q with P = Gamma*_k(k), Q = Theta_k for eps_k and
     P = Theta*_k, Q = Gamma_k(k) for -eps_k.  Splitting A = A_1 u A_2 gives
     wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|, so
-    the sum runs over A_1 in A(w, P), each with the ``_block`` from ed(A_1)
-    for the letter -t, where mu = eps_t, read at lam.
+    the sum runs over A_1 in A(w, P), each with the subsets B = A_2 that
+    ``_block`` from ed(A_1) sums for the letter -t, where mu = eps_t, read
+    at lam.
     """
     n = qbg.n
     if not 1 <= k <= n:
@@ -103,16 +112,39 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     cache = qbg._chev_cache
     key = (w, sign, k)
     if key not in cache:
-        t = k if sign == "+" else -k
-        mu = eps_vec(t, n)
-        head = make_chain("gamma_star" if t > 0 else "theta_star", k, n)
-        atom = k if sign == "+" else k - 1
-        terms = ((sym, zero_vec(n), c)
-                 for A1 in admissible_subsets(qbg, w, head)
-                 for sym, _, c in _block(qbg, A1.end, -t, A1.down,
-                                         nu=act(A1.end, mu)))
-        cache[key] = DemazureCombo.summed(n, normalized(terms, (atom,) if atom else ()))
+        cache[key] = _chevalley_sum(qbg, w, k if sign == "+" else -k)
     return cache[key]
+
+
+def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
+    """The sum of ``chevalley_expand`` for mu = eps_t, folded on packed keys.
+
+    The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
+    q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
+    monomial x^{-down(B)} of B, added as one sum of packed keys.
+    """
+    n = qbg.n
+    mu, zero = eps_vec(t, n), zero_vec(n)
+    bias = packed_words(n)[0]
+    head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
+    tail = _block_chain(-t, n)
+    buckets: dict[Window, dict[int, int]] = {}
+    seen = 0
+    for A1 in admissible_subsets(qbg, w, head):
+        # the x-fields of one key and the nu-fields of the other are zero, so
+        # their sum cannot leave the packed range
+        off = (translation_key(mu, A1.down)
+               + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
+        for B in admissible_subsets(qbg, A1.end, tail):
+            p = off + translation_key(zero, B.down)  # see packed_words
+            seen |= p
+            bucket = buckets.setdefault(B.end, {})
+            bucket[p] = bucket.get(p, 0) + _sign(len(B.positions))
+    check_packed(n, seen)
+    atom = t if t > 0 else -t - 1
+    atoms = (atom,) if atom else ()
+    return DemazureCombo.from_buckets(
+        n, {((y, zero), atoms): bucket for y, bucket in buckets.items()})
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -133,11 +165,11 @@ def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
     def items():
         for (y, mu), rc in combo.terms.items():
             if not any(mu):
-                yield (y, mu), rc.atoms, rc.numer
+                yield (y, mu), rc.atoms, rc.numer, None
                 continue
             k, sign = _mu_index(mu)
             for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
-                yield key2, rc2.atoms + rc.atoms, rc2.numer * rc.numer
+                yield key2, rc2.atoms + rc.atoms, rc2.numer, rc.numer
 
     return DemazureCombo.summed(combo.n, items())
 
@@ -223,11 +255,15 @@ def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1,
     """
     n = qbg.n
     mu = eps_vec(t, n)
-    chain = make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
     qe = pair(mu, dxi)
-    for B in admissible_subsets(qbg, v, chain):
+    for B in admissible_subsets(qbg, v, _block_chain(t, n)):
         c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe, nu=nu)
         yield (B.end, vec_add(B.down, dxi)), mu, c
+
+
+def _block_chain(t: int, n: int):
+    """The chain of the block for the letter t: Gamma_t(t), or Theta_j for t = -j."""
+    return make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
 
 
 def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:

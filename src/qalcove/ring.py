@@ -31,7 +31,8 @@ translation parts are absorbed on insertion:
 V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu).
 Every combination is built by one fold, ``DemazureCombo.summed``: it adds
 the numerators that share a symbol and a denominator as plain integer
-dicts, then reduces each sum once.
+dicts, multiplying an item's numerator by its factor on the way, one
+packed-key addition per monomial pair, then reduces each sum once.
 """
 
 from __future__ import annotations
@@ -62,13 +63,25 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 @lru_cache(maxsize=None)
-def _words(n: int) -> tuple[int, int]:
-    """(the bias in every field, the guard bit of every field) at rank n."""
+def packed_words(n: int) -> tuple[int, int]:
+    """(the bias in every field, the guard bit of every field) at rank n.
+
+    k1 + k2 - bias adds the biased fields of two keys without carries and
+    leaves e1 + e2 + bias in each, which sets its field's guard bit iff
+    e1 + e2 is out of range (a negative field borrows and sets it too).
+    """
     bias = guard = 0
     for _ in range(2 * n):
         bias = (bias << FIELD_BITS) | FIELD_BIAS
         guard = (guard << FIELD_BITS) | (1 << (FIELD_BITS - 1))
     return bias, guard
+
+
+def check_packed(n: int, seen: int):
+    """ValueError if some product key OR-ed into ``seen`` left its range."""
+    if seen & packed_words(n)[1]:
+        raise ValueError(f"exponent outside the packed range "
+                         f"{EXP_MIN}..{EXP_MAX} in a product")
 
 
 @lru_cache(maxsize=1 << 14)  # the monomials of one sweep repeat often
@@ -149,21 +162,16 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        # k1 + k2 adds the biased fields without carries; subtracting one
-        # bias leaves e1 + e2 + bias, which sets its field's guard bit iff
-        # e1 + e2 is out of range (a negative field borrows and sets it too)
-        bias, guard = _words(self.n)
+        bias = packed_words(self.n)[0]
         out: dict[int, int] = {}
         get = out.get
         seen = 0
         for k1, c1 in self.packed.items():
             for k2, c2 in other.packed.items():
-                k = k1 + k2 - bias
+                k = k1 + k2 - bias  # see packed_words
                 seen |= k
                 out[k] = get(k, 0) + c1 * c2
-        if seen & guard:
-            raise ValueError(f"exponent outside the packed range "
-                             f"{EXP_MIN}..{EXP_MAX} in a product")
+        check_packed(self.n, seen)
         return Coeff.from_packed(self.n, out)
 
     def scale(self, c: int) -> "Coeff":
@@ -276,6 +284,9 @@ class RationalCoeff:
             raise ValueError(f"repeated denominator atom in {atoms}")
         if numer.is_zero():
             atoms = ()
+        if len(numer.packed) == 1:  # a monomial is a unit: no atom divides it
+            self.numer, self.atoms = numer, atoms
+            return
         # distinct atoms are coprime, so one pass cancels every factor
         kept = []
         for k in atoms:
@@ -350,16 +361,23 @@ def normalize(x: tuple[Window, Vec], mu: Vec) -> tuple[tuple[Window, Vec], Coeff
 
 @lru_cache(maxsize=1 << 12)  # shared, so never changed: see Coeff
 def _translation(mu: Vec, xi: Vec) -> Coeff:
+    return Coeff.from_packed(len(xi), {translation_key(mu, xi): 1})
+
+
+@lru_cache(maxsize=1 << 12)
+def translation_key(mu: Vec, xi: Vec) -> int:
+    """The packed monomial q^{-<mu, xi>} prod x_i^{-c_i}, where
+    xi = sum c_i alpha_i^vee."""
     coords = alpha_coords(xi)
-    return Coeff.monomial(len(xi), 1, q=-pair(mu, xi), x=tuple(-c for c in coords))
+    return pack(len(xi), (-pair(mu, xi), tuple(-c for c in coords), zero_vec(len(xi))))
 
 
-def normalized(terms, atoms: tuple[int, ...] = ()):
-    """``DemazureCombo.summed`` items of (affine symbol, mu, Coeff) terms,
-    each over the denominator ``atoms``."""
+def normalized(terms):
+    """``DemazureCombo.summed`` items of (affine symbol, mu, Coeff) terms;
+    the fold multiplies each coefficient by its translation monomial."""
     for sym, mu, c in terms:
         key, mult = normalize(sym, mu)
-        yield key, atoms, c * mult
+        yield key, (), c, mult
 
 
 class DemazureCombo:
@@ -373,18 +391,38 @@ class DemazureCombo:
 
     @classmethod
     def summed(cls, n: int, items) -> "DemazureCombo":
-        """The sum of numer / prod(atoms) * V_key over (key, atoms, numer) items.
+        """The sum of numer * factor / prod(atoms) * V_key over
+        (key, atoms, numer, factor) items; a factor of None stands for 1.
 
-        Numerators sharing a key and atoms are added in place, each sum is
-        reduced once, and ``add_term`` joins the sums of a key.  A reduced
-        form is unique, so this equals adding one item at a time.  Atoms
-        are sorted, not deduplicated: a repeated atom raises ValueError.
+        Numerators sharing a key and atoms are added in place, a product
+        one monomial pair at a time with the guard check of
+        ``Coeff.__mul__``; each sum is reduced once, and ``add_term`` joins
+        the sums of a key.  A reduced form is unique, so this equals adding
+        one item at a time.  Atoms are sorted, not deduplicated: a repeated
+        atom raises ValueError.
         """
-        acc: dict[tuple, dict[TermKey, int]] = {}
-        for key, atoms, numer in items:
+        bias = packed_words(n)[0]
+        seen = 0
+        acc: dict[tuple, dict[int, int]] = {}
+        for key, atoms, numer, factor in items:
             bucket = acc.setdefault((key, tuple(sorted(atoms))), {})
-            for t, c in numer.packed.items():
-                bucket[t] = bucket.get(t, 0) + c
+            get = bucket.get
+            if factor is None:
+                for t, c in numer.packed.items():
+                    bucket[t] = get(t, 0) + c
+                continue
+            fterms = factor.packed.items()
+            for t1, c1 in numer.packed.items():
+                for t2, c2 in fterms:
+                    t = t1 + t2 - bias  # see packed_words
+                    seen |= t
+                    bucket[t] = get(t, 0) + c1 * c2
+        check_packed(n, seen)
+        return cls.from_buckets(n, acc)
+
+    @classmethod
+    def from_buckets(cls, n: int, acc: dict[tuple, dict[int, int]]) -> "DemazureCombo":
+        """The combination of packed numerators summed per (key, atoms)."""
         out = cls(n)
         for (key, atoms), bucket in acc.items():
             out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
@@ -406,7 +444,7 @@ class DemazureCombo:
     def _items(self, s: int = 1) -> list:
         """The ``summed`` items of s times this combination.  ``summed``
         only reads numerators, so at s = 1 they pass through uncopied."""
-        return [(k, rc.atoms, rc.numer if s == 1 else rc.numer.scale(s))
+        return [(k, rc.atoms, rc.numer if s == 1 else rc.numer.scale(s), None)
                 for k, rc in self.terms.items()]
 
     def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
@@ -474,7 +512,7 @@ def clear_denominators(a: DemazureCombo, b: DemazureCombo):
     """
     lcm = tuple(sorted({k for combo in (a, b) for rc in combo.terms.values()
                         for k in rc.atoms}))
-    a2, b2 = (DemazureCombo.summed(c.n, ((key, (), rc.over(lcm))
+    a2, b2 = (DemazureCombo.summed(c.n, ((key, (), rc.over(lcm), None)
                                          for key, rc in c.terms.items()))
               for c in (a, b))
     return a2, b2, lcm

@@ -338,8 +338,9 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
     working: dict[tuple[Window, int], tuple[int, ...]] = {}
     certs: dict[tuple[Window, int, int], bool] = {}
     counter: list[tuple[Window, int]] = []
+    ms = tuple(ms) if ms is not None else range(1, n + 1)
     for w in (tuple(elements) if elements is not None else qbg.group):
-        for m in (tuple(ms) if ms is not None else range(1, n + 1)):
+        for m in ms:
             x = (w, zero_vec(n))
             lhs = ic_lhs(qbg, x, m, "-")
             blocks = conj_second_blocks(qbg, x, m, n)

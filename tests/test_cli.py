@@ -86,6 +86,18 @@ def test_verify_cf_variant(capsys):
     assert "cancel-free" in out
 
 
+def test_verify_repeated_variant_runs_once(capsys):
+    code, out, _ = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                        "--variant", "first,first", "--format", "json"], capsys)
+    assert code == 0
+    [report] = json.loads(out)["reports"]
+    assert report["instance"].startswith("first-half w=[2,1] m=1")
+    code, out, _ = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                        "--variant", "key,first,key"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[-1].startswith("2/2 verified")
+
+
 def test_verify_parallel_matches_serial(capsys):
     _, out1, _ = run(["verify", "--rank", "2", "--format", "json"], capsys)
     _, out2, _ = run(["verify", "--rank", "2", "--format", "json",
@@ -339,6 +351,10 @@ def test_expand_rejects_xi_on_direct_form(capsys):
     (["--k", "1", "--m", "2"], "--m"),
     (["--m", "1", "--variant", "first", "--l", "2"], "--l"),
     (["--k", "1", "--l", "2"], "--l"),
+    (["--m", "1", "--sign", "minus"], "--sign"),
+    (["--m", "1", "--sign", "plus"], "--sign"),
+    (["--k", "1", "--variant", "second"], "--variant"),
+    (["--k", "1", "--variant", "first"], "--variant"),
 ])
 def test_expand_rejects_flags_it_would_ignore(argv, flag, monkeypatch, capsys):
     monkeypatch.setattr(cli, "QBG", _no_qbg)

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from helpers import oracle_subsets
+from qalcove import expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
     _block,
@@ -24,13 +25,18 @@ from qalcove.expansions import (
     ic_rhs_second,
 )
 from qalcove.ring import (
+    EXP_MAX,
+    EXP_MIN,
     Coeff,
     DemazureCombo,
     RationalCoeff,
     atom_coeff,
     clear_denominators,
+    divide_by_atom,
     normalized,
+    pack,
 )
+from qalcove.qbg import QBG
 from qalcove.typec import act, eps_vec, zero_vec
 from qalcove.verify import _key_sides
 
@@ -141,8 +147,9 @@ def _random_coeff(rng, n):
 
 
 def _random_items(rng, n):
-    """Items over a few keys; some are divisible by their atoms, and some
-    cancel an earlier item from another bucket of the same key."""
+    """Items over a few keys, some with a factor; some are divisible by
+    their atoms, and some cancel an earlier item from another bucket of the
+    same key."""
     keys = [((tuple(range(1, n + 1)), zero_vec(n))),
             ((tuple(range(n, 0, -1)), zero_vec(n))),
             ((tuple(range(1, n + 1)), eps_vec(1, n)))]
@@ -152,28 +159,35 @@ def _random_items(rng, n):
         numer = _random_coeff(rng, n)
         if atoms and rng.random() < 0.3:
             numer = numer * atom_coeff(n, atoms[0])
-        items.append((rng.choice(keys), atoms, numer))
+        factor = _random_coeff(rng, n) if rng.random() < 0.5 else None
+        items.append((rng.choice(keys), atoms, numer, factor))
         if rng.random() < 0.3:
-            key, atoms, numer = rng.choice(items)
+            key, atoms, numer, factor = rng.choice(items)
             free = [k for k in range(1, n + 1) if k not in atoms]
             if free:
                 k = rng.choice(free)
-                items.append((key, atoms + (k,), -(numer * atom_coeff(n, k))))
+                items.append((key, atoms + (k,), -(numer * atom_coeff(n, k)), factor))
     return items
+
+
+def _product(numer, factor):
+    """An item's numerator times its factor, by ``Coeff.__mul__``."""
+    return numer if factor is None else numer * factor
 
 
 def test_summed_random_items_match_oracle():
     rng = random.Random(6)
-    cancelled = 0
+    cancelled = products = 0
     for n in (2, 3):
         for _ in range(200):
             items = _random_items(rng, n)
             oracle = DemazureCombo(n)
-            for key, atoms, numer in items:
-                oracle.add_term(key, RationalCoeff(numer, atoms))
+            for key, atoms, numer, factor in items:
+                oracle.add_term(key, RationalCoeff(_product(numer, factor), atoms))
             folded = DemazureCombo.summed(n, items)
             assert_same(folded, oracle)
-            cancelled += len({key for key, _, _ in items} - set(folded.terms))
+            cancelled += len({item[0] for item in items} - set(folded.terms))
+            products += sum(item[3] is not None for item in items)
             other = DemazureCombo.summed(n, _random_items(rng, n))
             for op in ("__add__", "__sub__"):
                 want = DemazureCombo(n)
@@ -189,16 +203,81 @@ def test_summed_random_items_match_oracle():
                     want.add_term(key, RationalCoeff(rc.over(lcm)))
                 assert_same(got, want)
     assert cancelled > 0  # some keys cancel to zero across buckets
+    assert products > 0
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_summed_product_out_of_range_raises(field):
+    def mono(e):
+        v = [0] * 4
+        v[field] = e
+        return Coeff(2, {(0, tuple(v[:2]), tuple(v[2:])): 1})
+
+    key = ((1, 2), zero_vec(2))
+    top, one, bottom, minus_one = mono(EXP_MAX), mono(1), mono(EXP_MIN), mono(-1)
+    for numer, factor in ((top, one), (bottom, minus_one), (top, top),
+                          (bottom, bottom), (one, top), (minus_one, bottom)):
+        with pytest.raises(ValueError, match="packed range"):
+            DemazureCombo.summed(2, [(key, (), numer, factor)])
+        # the same item among in-range ones still raises
+        with pytest.raises(ValueError, match="packed range"):
+            DemazureCombo.summed(2, [(key, (), one, one), (key, (), numer, factor),
+                                     (key, (1,), minus_one, None)])
+    # the extremes themselves are reachable
+    for numer, factor, want in ((top, minus_one, mono(EXP_MAX - 1)),
+                                (bottom, one, mono(EXP_MIN + 1)),
+                                (top, bottom, mono(-1))):
+        got = DemazureCombo.summed(2, [(key, (), numer, factor)])
+        assert got.terms[key] == RationalCoeff(want)
+
+
+@pytest.mark.parametrize("edge", [EXP_MIN, EXP_MAX])
+def test_chevalley_sum_out_of_range_raises(edge, monkeypatch):
+    # every summand key is the A_1 key plus a B key; put both at one edge
+    def key_at_edge(mu, xi):
+        n = len(xi)
+        return pack(n, (0, (edge,) + (0,) * (n - 1), (0,) * n))
+
+    monkeypatch.setattr(expansions, "translation_key", key_at_edge)
+    with pytest.raises(ValueError, match="packed range"):
+        expansions.chevalley_expand(QBG(2), (1, 2), "+", 1)
+
+
+def test_monomial_numerator_keeps_every_atom():
+    rng = random.Random(13)
+    for n in (3, 4):
+        for _ in range(200):
+            mono = Coeff(n, {(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in range(n)),
+                              tuple(rng.randint(-1, 1) for _ in range(n))):
+                             rng.choice((-2, -1, 1, 3))})
+            atoms = tuple(rng.sample(range(1, n + 1), rng.randint(1, 3)))
+            # what the division loop would give: no atom divides a monomial
+            assert all(divide_by_atom(mono, k) is None for k in atoms)
+            rc = RationalCoeff(mono, atoms)
+            assert rc.numer == mono and rc.atoms == tuple(sorted(atoms))
+            with pytest.raises(ValueError):
+                RationalCoeff(mono, atoms + atoms[:1])
+
+
+def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
+    cache = {}
+    for w in random.Random(41).sample(qbg4.group, 24):
+        for k in range(1, 5):
+            for sign in "+-":
+                assert_same(chevalley_expand(qbg4, w, sign, k),
+                            chevalley_oracle(qbg4, w, sign, k, cache))
 
 
 def test_repeated_atom_raises(qbg3):
     one = Coeff.one(3)
-    with pytest.raises(ValueError):
-        DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one)])
+    with pytest.raises(ValueError, match="repeated"):
+        DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one, None)])
     # a repeated atom raises even when its numerators cancel
     key = ((1, 2, 3), zero_vec(3))
-    with pytest.raises(ValueError):
-        DemazureCombo.summed(3, [(key, (2, 2), one), (key, (2, 2), -one)])
+    for factor in (None, one):
+        with pytest.raises(ValueError, match="repeated"):
+            DemazureCombo.summed(3, [(key, (2, 2), one, factor),
+                                     (key, (2, 2), -one, factor)])
     # an input atom that repeats the Chevalley atom: k for +eps_k, k-1 for -eps_k
     for mu, atom in ((eps_vec(2, 3), 2), (eps_vec(-3, 3), 2)):
         combo = DemazureCombo(3)
@@ -211,6 +290,10 @@ def test_repeated_atom_raises(qbg3):
 
 def test_normalized_absorbs_translation():
     sym = ((1, 2, 3), (0, 1, -1))
-    [(key, atoms, numer)] = normalized([(sym, zero_vec(3), Coeff.one(3))], (2,))
-    assert key == ((1, 2, 3), zero_vec(3)) and atoms == (2,)
-    assert numer == Coeff.monomial(3, x=(0, -1, 0))
+    [item] = normalized([(sym, zero_vec(3), Coeff.one(3))])
+    key, atoms, numer, factor = item
+    assert key == ((1, 2, 3), zero_vec(3)) and atoms == ()
+    assert numer == Coeff.one(3)
+    assert numer * factor == Coeff.monomial(3, x=(0, -1, 0))
+    combo = DemazureCombo.summed(3, [item])
+    assert combo.terms == {key: RationalCoeff(Coeff.monomial(3, x=(0, -1, 0)))}

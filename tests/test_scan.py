@@ -121,3 +121,11 @@ def test_closed_l_rule_matches_rank4_reference():
     assert len(entries) == len(keys) == 1536
     for (w, m), entry in zip(keys, entries):
         assert entry == f"{closed_l(w, m)}:T", (w, m, entry)
+
+
+def test_scan_accepts_iterators(qbg2):
+    elements, ms = list(qbg2.group), [1, 2]
+    want = conjecture_scan(qbg2, ms=ms, elements=elements)
+    assert len(want.working) == len(elements) * len(ms) == 16
+    got = conjecture_scan(qbg2, ms=iter(ms), elements=iter(elements))
+    _assert_same_scan(got, want)

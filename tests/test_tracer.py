@@ -24,3 +24,6 @@ def test_tracer_installs_and_restores():
     calls = tracer.summary()
     assert calls["verify_first_half"]["calls"] == 1
     assert calls["RationalCoeff.__init__"]["calls"] > 0
+    # expand_to_base reaches the Chevalley expansion through the traced name
+    assert calls["chevalley_expand"]["calls"] >= 1
+    assert tracer.counts["chevalley_expand.misses"] >= 1
