@@ -140,6 +140,8 @@ def _cmd_verify(args) -> tuple[str, int]:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
     w = _parse_elt(args.w, n) if args.w else None
     xi = _parse_xi(args.xi, n)
+    if any(xi) and variants == ["key"]:
+        raise ValueError("--xi applies to the first, second and cf variants only")
     ms = _letters(args)
     elements = [w] if w else weyl_group(n)
     tasks = [(v, w, m, xi) for v in variants for w in elements for m in ms]

@@ -10,14 +10,12 @@ Edges are labelled by the positive root and the kind 'B' or 'Q'; the weight
 of a directed path is the sum of alpha^vee over its quantum edges.
 
 Letters of the window alphabet {1..n, -n..-1} ("barred" = negative) are
-ordered 1 < ... < n < -n < ... < -1; ``distance`` measures separation in
-that order, and ``p_path`` builds the specific label-decreasing directed
-paths used by the cancellation-free expansions.
+ordered 1 < ... < n < -n < ... < -1; ``p_path`` builds the paths whose
+labels decrease in that order, which the cancellation-free expansions use.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .typec import (
@@ -32,18 +30,11 @@ from .typec import (
     positive_roots,
     refl_window,
     root_from_letters,
-    root_letters,
     rho,
     vec_add,
-    w_apply,
     weyl_group,
     zero_vec,
 )
-
-
-def distance(k: int, l: int, n: int) -> int:
-    """Separation of two letters in the total order 1 < .. < n < -n < .. < -1."""
-    return abs(letter_pos(k, n) - letter_pos(l, n))
 
 
 def gamma_label(l: int, k: int, n: int) -> Vec:
@@ -82,9 +73,6 @@ class DirectedPath:
     def weight(self) -> Vec:
         return path_weight(self.steps, len(self.start))
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 class QBG:
     """Quantum Bruhat graph at a fixed rank, with memoized edge tests."""
@@ -97,8 +85,6 @@ class QBG:
         r = rho(n)
         self.rho_pair = {a: pair(r, coroot(a)) for a in self.pos_roots}
         self._edges_from: dict[Window, list[tuple[Vec, str, Window]]] = {}
-        self._rev: dict[Window, list[tuple[Window, Vec, str]]] | None = None
-        self._dist_to: dict[Window, dict[Window, int]] = {}
         # memo tables of the alcove and expansions layers, keyed by element
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
         self._chev_cache: dict = {}      # (w, sign, k) -> chevalley_expand
@@ -128,100 +114,6 @@ class QBG:
                 if kind:
                     out.append((a, kind, self.target(w, a)))
             self._edges_from[w] = out
-        return out
-
-    def criterion_edge(self, w: Window, alpha: Vec) -> bool:
-        """Window-pattern edge test, independent of any length computation.
-
-        Case (k,l), l unbarred: no k<j<l with w(k) < w(j) < w(l) in the
-        cyclic order starting at w(k).  Case (k,-k): same with l = -k, j
-        running over k+1..n,-n..-(k+1).  Case (k,-l), k<l<=n: w(k) < w(-l)
-        and sgn(w(k)) = sgn(w(-l)) and no k<j<-l with w(k) < w(j) < w(-l),
-        all in the total order.
-        """
-        n = self.n
-        i, j = root_letters(alpha)
-        wk = w_apply(w, i)
-        if j > 0:  # (k,l) with k<l<=n
-            wl = w_apply(w, j)
-            return not any(
-                self._cyc_between(wk, w_apply(w, p), wl)
-                for p in range(i + 1, j)
-            )
-        if j == -i:  # (k, kbar)
-            wl = -wk
-            return not any(
-                self._cyc_between(wk, w_apply(w, letter_from_pos(p, n)), wl)
-                for p in range(i + 1, 2 * n - i + 1)
-            )
-        # (k, lbar) with k < l <= n
-        l = -j
-        wl = -w_apply(w, l)
-        if not letter_pos(wk, n) < letter_pos(wl, n):
-            return False
-        if (wk > 0) != (wl > 0):
-            return False
-        lo, hi = letter_pos(wk, n), letter_pos(wl, n)
-        for p in range(i + 1, 2 * n - l + 1):
-            wp = letter_pos(w_apply(w, letter_from_pos(p, n)), n)
-            if lo < wp < hi:
-                return False
-        return True
-
-    def _cyc_between(self, base: int, x: int, y: int) -> bool:
-        """x strictly between base and y in the cyclic rotation starting at base."""
-        n = self.n
-        b = letter_pos(base, n)
-        rx = (letter_pos(x, n) - b) % (2 * n)
-        ry = (letter_pos(y, n) - b) % (2 * n)
-        return 0 < rx < ry
-
-    # -- shortest paths --------------------------------------------------
-
-    def _reverse_edges(self) -> dict[Window, list[tuple[Window, Vec, str]]]:
-        if self._rev is None:
-            rev: dict[Window, list[tuple[Window, Vec, str]]] = {w: [] for w in self.group}
-            for w in self.group:
-                for a, kind, y in self.edges_from(w):
-                    rev[y].append((w, a, kind))
-            self._rev = rev
-        return self._rev
-
-    def dist_to(self, v: Window) -> dict[Window, int]:
-        """Directed graph distance from every vertex to v."""
-        cached = self._dist_to.get(v)
-        if cached is None:
-            rev = self._reverse_edges()
-            cached = {v: 0}
-            queue = deque([v])
-            while queue:
-                y = queue.popleft()
-                for x, _, _ in rev[y]:
-                    if x not in cached:
-                        cached[x] = cached[y] + 1
-                        queue.append(x)
-            self._dist_to[v] = cached
-        return cached
-
-    def graph_distance(self, u: Window, v: Window) -> int:
-        return self.dist_to(v)[u]
-
-    def shortest_paths(self, u: Window, v: Window) -> list[DirectedPath]:
-        """All geodesics u -> v.  (The QBG is strongly connected.)"""
-        dist = self.dist_to(v)
-        out: list[DirectedPath] = []
-
-        def extend(x: Window, acc: list[tuple[Vec, str]]):
-            if x == v:
-                out.append(DirectedPath(u, tuple(acc), v))
-                return
-            for a, kind, y in self.edges_from(x):
-                if dist.get(y, -2) == dist[x] - 1:
-                    acc.append((a, kind))
-                    extend(y, acc)
-                    acc.pop()
-
-        extend(u, [])
         return out
 
     # -- label-decreasing paths -----------------------------------------

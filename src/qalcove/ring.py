@@ -14,8 +14,7 @@ biased by FIELD_BIAS and topped by a guard bit that every stored key
 keeps clear; the q-exponent is the unbounded signed part above them, so
 integer order of keys is the order of the (q, x, nu) tuples.  A field
 that would leave EXP_MIN..EXP_MAX raises ValueError and never wraps.
-Only rendering, sorting, ``terms``, ``specialize`` and ``shift_lambda``
-decode keys.
+Only rendering, sorting and ``terms`` decode keys.
 
 A ``RationalCoeff`` divides a Coeff by a product of distinct atoms
 1 - q^{-1} x_k^{-1} (the factor 1 - q^{-<lam+w_k, alpha_k^vee>} of the
@@ -44,7 +43,6 @@ from .typec import (
     Window,
     alpha_coords,
     pair,
-    simple_coroot,
     window_str,
     zero_vec,
 )
@@ -138,10 +136,6 @@ class Coeff:
                  x: Vec | None = None, nu: Vec | None = None) -> "Coeff":
         return cls.from_packed(n, {pack(n, (q, x or zero_vec(n), nu or zero_vec(n))): c})
 
-    @classmethod
-    def one(cls, n: int) -> "Coeff":
-        return cls.monomial(n)
-
     @property
     def terms(self) -> dict[TermKey, int]:
         n = self.n
@@ -188,26 +182,6 @@ class Coeff:
 
     def __bool__(self) -> bool:
         return bool(self.packed)
-
-    # -- substitutions --
-
-    def specialize(self, lam: Vec) -> "Coeff":
-        """Evaluate x_i = q^{<lam, alpha_i^vee>} at a concrete weight lam."""
-        pairs = [pair(lam, simple_coroot(i, self.n)) for i in range(1, self.n + 1)]
-        out: dict[TermKey, int] = {}
-        for (q, x, nu), c in self.terms.items():
-            k = (q + sum(b * p for b, p in zip(x, pairs)), zero_vec(self.n), nu)
-            out[k] = out.get(k, 0) + c
-        return Coeff(self.n, out)
-
-    def shift_lambda(self, delta: Vec) -> "Coeff":
-        """Substitute lam -> lam + delta, i.e. x_i -> q^{<delta,alpha_i^vee>} x_i."""
-        pairs = [pair(delta, simple_coroot(i, self.n)) for i in range(1, self.n + 1)]
-        out: dict[TermKey, int] = {}
-        for (q, x, nu), c in self.terms.items():
-            k = (q + sum(b * p for b, p in zip(x, pairs)), x, nu)
-            out[k] = out.get(k, 0) + c
-        return Coeff(self.n, out)
 
     # -- rendering --
 
@@ -435,11 +409,6 @@ class DemazureCombo:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
-
-    def add_symbol(self, x: tuple[Window, Vec], mu: Vec, c: Coeff):
-        """Add c * V_{x}(lam+mu) with x affine; translation is absorbed."""
-        key, mult = normalize(x, mu)
-        self.add_term(key, RationalCoeff(c * mult))
 
     def _items(self, s: int = 1) -> list:
         """The ``summed`` items of s times this combination.  ``summed``

@@ -131,14 +131,6 @@ def simple_root(i: int, n: int) -> Vec:
     return tuple(2 if j == n else 0 for j in range(1, n + 1))
 
 
-def simple_coroot(i: int, n: int) -> Vec:
-    return coroot(simple_root(i, n))
-
-
-def fundamental_weight(i: int, n: int) -> Vec:
-    return tuple(1 if j <= i else 0 for j in range(1, n + 1))
-
-
 def rho(n: int) -> Vec:
     return tuple(range(n, 0, -1))
 
@@ -162,14 +154,6 @@ def alpha_coords(cv: Vec) -> Vec:
     return tuple(c)
 
 
-def coroot_from_alpha_coords(c: Vec) -> Vec:
-    prev, out = 0, []
-    for cj in c:
-        out.append(cj - prev)
-        prev = cj
-    return tuple(out)
-
-
 # --- letters (signed indices) ----------------------------------------------
 
 def letter_pos(a: int, n: int) -> int:
@@ -185,11 +169,6 @@ def letter_from_pos(p: int, n: int) -> int:
 
 def identity_w(n: int) -> Window:
     return tuple(range(1, n + 1))
-
-
-def w_apply(w: Window, a: int) -> int:
-    """Image of the letter a (signed index) under w."""
-    return w[a - 1] if a > 0 else -w[-a - 1]
 
 
 def act(w: Window, v: Vec) -> Vec:
@@ -325,20 +304,6 @@ def parse_word(text: str, n: int) -> Window:
     if any(i < 1 or i > n for i in word):
         raise ValueError(f"generator index out of range 1..{n}: {text}")
     return w_from_word(word, n)
-
-
-# --- affine elements --------------------------------------------------------
-
-def affine_mul(a: tuple[Window, Vec], b: tuple[Window, Vec]) -> tuple[Window, Vec]:
-    """(w t_xi)(v t_eta) = (wv) t_{v^{-1}(xi) + eta}."""
-    (w, xi), (v, eta) = a, b
-    return mul(w, v), vec_add(act(inv(v), xi), eta)
-
-
-def affine_apply(a: tuple[Window, Vec], x: Vec) -> Vec:
-    """Faithful action on the coroot lattice: (w t_xi)(x) = w(x + xi)."""
-    w, xi = a
-    return act(w, vec_add(x, xi))
 
 
 if __name__ == "__main__":

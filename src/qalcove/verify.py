@@ -34,7 +34,15 @@ from .expansions import (
     ic_rhs_second,
 )
 from .qbg import QBG
-from .ring import Coeff, DemazureCombo, RationalCoeff, clear_denominators, normalize
+from .ring import (
+    Coeff,
+    DemazureCombo,
+    RationalCoeff,
+    check_packed,
+    clear_denominators,
+    normalized,
+    packed_words,
+)
 from .typec import (
     Vec,
     Window,
@@ -181,15 +189,6 @@ def verify_key_props(qbg: QBG, w: Window, k: int) -> VerificationReport:
         None if ok else (rep1.residual or rep2.residual))
 
 
-def specialized_equal(a: DemazureCombo, b: DemazureCombo, lam: Vec) -> bool:
-    """Equality after substituting x_i = q^{<lam, alpha_i^vee>}.
-
-    lam must be dominant: there no atom 1 - q^{-1-<lam, alpha_k^vee>}
-    vanishes, so a coefficient of a - b vanishes iff its numerator does.
-    """
-    return all(rc.numer.specialize(lam).is_zero() for rc in (a - b).terms.values())
-
-
 # -- the six-case pairing ------------------------------------------------
 
 
@@ -278,21 +277,25 @@ def collapse_check(qbg: QBG, w: Window, m: int, j: int) -> bool:
 def cancellation_certificate(terms: Iterable[Term]) -> bool:
     """True iff no two streamed summands cancel.
 
-    Each summand is normalized to (symbol key, q-, x-, e^nu-exponents);
-    the stream is cancellation-free when no normalized key is hit with
-    both signs.
+    Each summand is normalized to (symbol key, packed monomial), adding the
+    translation monomial's key to each packed key as the fold does; the
+    stream is cancellation-free when no normalized key is hit with both
+    signs.  A summand with a key outside the packed range raises ValueError
+    before any of its keys is compared.
     """
     seen: dict[tuple, int] = {}
-    for sym, mu, c in terms:
-        key, mult = normalize(sym, mu)
-        prod = c * mult
-        for mono, coef in prod.packed.items():
-            s = 1 if coef > 0 else -1
-            full = (key, mono)
-            prev = seen.get(full)
-            if prev is not None and prev != s:
+    for key, _, numer, factor in normalized(terms):
+        n = numer.n
+        (shift, f), = factor.packed.items()  # one translation monomial
+        shift -= packed_words(n)[0]  # see packed_words
+        bits = 0
+        for t in numer.packed:
+            bits |= t + shift
+        check_packed(n, bits)
+        for t, c in numer.packed.items():
+            s = 1 if c * f > 0 else -1
+            if seen.setdefault((key, t + shift), s) != s:
                 return False
-            seen[full] = s
     return True
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from qalcove.alcove import (
     CHAIN_KINDS,
-    admissible_subsets,
     alcove_walk,
     make_chain,
     reducedness_check,
@@ -28,7 +27,6 @@ from qalcove.expansions import (
     ic_rhs_second,
 )
 from qalcove.qbg import QBG
-from qalcove.ring import Coeff, DemazureCombo
 from qalcove.typec import eps_vec, pair, parse_word, vec_add, vec_neg, zero_vec
 from qalcove.verify import (
     cancellation_certificate,
@@ -48,6 +46,7 @@ from helpers import (
     assert_existence,
     assert_minimum,
     assert_shortest_weights_unique,
+    display_block,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,16 +57,6 @@ A1CV, A2CV, A3CV = (1, -1, 0), (0, 1, -1), (0, 0, 1)
 
 def _pass(num, msg, t0):
     print(f"[PASS] criterion {num}: {msg} ({time.time() - t0:.2f}s)")
-
-
-def _block(qbg, base, kind, j, extra, qexp, mu):
-    """Display block: sum_B (-1)^{|B|} q^qexp V_{ed(B) t_{down(B)+extra}}(lam+mu)."""
-    combo = DemazureCombo(qbg.n)
-    for B in admissible_subsets(qbg, base, make_chain(kind, j, qbg.n)):
-        sign = -1 if len(B.positions) % 2 else 1
-        combo.add_symbol((B.end, vec_add(B.down, extra)), mu,
-                         Coeff.monomial(qbg.n, sign, q=qexp))
-    return combo
 
 
 def test_criterion_1_table_reproduction(tmp_path):
@@ -102,10 +91,10 @@ def test_criterion_2_example_identities(qbg3):
     # first half, w = s1 s2 s1, m = 3
     w1 = parse_word("s1 s2 s1", 3)
     x1 = (w1, zero_vec(3))
-    d1 = (_block(qbg3, w1, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-          + _block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1,
-                   eps_vec(2, 3))
-          + _block(qbg3, e, "gamma", 1, a12, 1, eps_vec(1, 3)))
+    d1 = (display_block(qbg3, w1, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
+          + display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1,
+                            eps_vec(2, 3))
+          + display_block(qbg3, e, "gamma", 1, a12, 1, eps_vec(1, 3)))
     cf1 = ic_rhs_cancel_free_first(qbg3, x1, 3)
     assert cf1 == d1
     assert sorted(cf1.terms) == sorted(d1.terms)  # same symbols, term-for-term
@@ -115,15 +104,15 @@ def test_criterion_2_example_identities(qbg3):
     # second half, w = s3 s2, m = 2
     w2 = parse_word("s3 s2", 3)
     x2 = (w2, zero_vec(3))
-    d2 = (_block(qbg3, w2, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
-          + _block(qbg3, parse_word("s3", 3), "theta", 3, A2CV, 1,
-                   vec_neg(eps_vec(3, 3)))
-          + _block(qbg3, parse_word("s2 s3 s2", 3), "gamma", 3, zero_vec(3), 0,
-                   eps_vec(3, 3))
-          + _block(qbg3, parse_word("s2 s3", 3), "gamma", 2, A2CV, 1,
-                   eps_vec(2, 3))
-          + _block(qbg3, parse_word("s2 s3 s1 s2", 3), "gamma", 1, zero_vec(3),
-                   0, eps_vec(1, 3)))
+    d2 = (display_block(qbg3, w2, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
+          + display_block(qbg3, parse_word("s3", 3), "theta", 3, A2CV, 1,
+                            vec_neg(eps_vec(3, 3)))
+          + display_block(qbg3, parse_word("s2 s3 s2", 3), "gamma", 3, zero_vec(3), 0,
+                            eps_vec(3, 3))
+          + display_block(qbg3, parse_word("s2 s3", 3), "gamma", 2, A2CV, 1,
+                            eps_vec(2, 3))
+          + display_block(qbg3, parse_word("s2 s3 s1 s2", 3), "gamma", 1, zero_vec(3),
+                            0, eps_vec(1, 3)))
     conj2 = ic_rhs_conjecture_second(qbg3, x2, 2, 3)
     assert conj2 == d2
     assert sorted(conj2.terms) == sorted(d2.terms)
@@ -133,12 +122,12 @@ def test_criterion_2_example_identities(qbg3):
     # second half, w = s1 s2 s3 s2 s1, m = 1
     w3 = parse_word("s1 s2 s3 s2 s1", 3)
     x3 = (w3, zero_vec(3))
-    d3 = (_block(qbg3, w3, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
-          + _block(qbg3, parse_word("s1 s2 s3 s2", 3), "theta", 2, A1CV, 1,
-                   vec_neg(eps_vec(2, 3)))
-          + _block(qbg3, parse_word("s1 s2 s3", 3), "theta", 3, a12, 1,
-                   vec_neg(eps_vec(3, 3)))
-          + _block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3)))
+    d3 = (display_block(qbg3, w3, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
+          + display_block(qbg3, parse_word("s1 s2 s3 s2", 3), "theta", 2, A1CV, 1,
+                            vec_neg(eps_vec(2, 3)))
+          + display_block(qbg3, parse_word("s1 s2 s3", 3), "theta", 3, a12, 1,
+                            vec_neg(eps_vec(3, 3)))
+          + display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3)))
     conj3 = ic_rhs_conjecture_second(qbg3, x3, 1, 1)
     assert conj3 == d3
     assert sorted(conj3.terms) == sorted(d3.terms)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import oracle_subsets
+from helpers import oracle_subsets, w_apply
 from qalcove.alcove import (
     CHAIN_KINDS,
     RootChain,
@@ -180,7 +180,7 @@ def test_filtered_A_rejects_bad_ranges(qbg3):
 
 def test_filtered_A_endpoint_condition(qbg3):
     # every returned subset is nonempty and satisfies the endpoint twist
-    from qalcove.typec import inv, mul, w_apply
+    from qalcove.typec import inv, mul
 
     for w in ((1, -3, 2), (3, 2, 1), (-2, -1, -3)):
         for src, dst in ((3, 1), (3, 2), (2, 1), (-2, 2), (-2, -3), (-1, 1)):

@@ -564,6 +564,30 @@ def test_xi_beyond_bound_is_exit_2(xi, monkeypatch, capsys):
     assert "xi coordinates" in err
 
 
+@pytest.mark.parametrize("variant", ["key", "key,key"])
+def test_verify_rejects_xi_on_key_only(variant, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(["verify", "--rank", "2", "--variant", variant,
+                          "--xi", "1,0"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--xi" in err
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"rank=2\nvariant={variant}\nxi=1,0\n")
+    code, out, err = run(["--config", str(cfg), "verify"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "--xi" in err
+
+
+def test_verify_key_with_zero_xi_or_other_variant_verifies(capsys):
+    code, out, _ = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                        "--variant", "key", "--xi", "0,0"], capsys)
+    assert code == 0 and out.count("[ok]") == 1
+    code, out, _ = run(["verify", "--rank", "2", "--w", "s1", "--m", "1",
+                        "--variant", "key,first", "--xi", "1,0"], capsys)
+    assert code == 0 and out.count("[ok]") == 2
+    assert "key-props w=[2,1] k=1" in out and "xi=[1,0]" in out
+
+
 def test_xi_at_bound_verifies(capsys):
     code, out, _ = run(["verify", "--rank", "2", "--w", "[2,-1]", "--m", "1",
                         "--variant", "first,second", "--xi", "1000000,-1000000"],

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from qalcove.alcove import admissible_subsets, filtered_A, make_chain
+from helpers import add_symbol, display_block, shift_lambda
+from qalcove.alcove import filtered_A
 from qalcove.expansions import (
     chevalley_expand,
     enumerate_S,
@@ -47,16 +48,6 @@ def _x(w, n=3):
 
 def _positions(subsets):
     return sorted(s.positions for s in subsets)
-
-
-def _block(qbg, base, kind, j, extra, qexp, mu):
-    """One display block: sum_B (-1)^{|B|} q^qexp V_{ed(B) t_{down(B)+extra}}(lam+mu)."""
-    combo = DemazureCombo(qbg.n)
-    for B in admissible_subsets(qbg, base, make_chain(kind, j, qbg.n)):
-        sign = -1 if len(B.positions) % 2 else 1
-        combo.add_symbol((B.end, vec_add(B.down, extra)), mu,
-                         Coeff.monomial(qbg.n, sign, q=qexp))
-    return combo
 
 
 # -- decreasing letter sequences -----------------------------------------
@@ -146,21 +137,21 @@ def test_plus_then_minus_roundtrip(qbg3):
                 assert mu == zero_vec(n)
                 cleared = rc * atom
                 assert cleared.atoms == ()
-                poly = cleared.numer.shift_lambda(shift)
+                poly = shift_lambda(cleared.numer, shift)
                 for key, rc2 in chevalley_expand(qbg3, y, "-", k).terms.items():
                     rhs.add_term(key, rc2 * poly)
             lhs = DemazureCombo(n)
-            lhs.add_symbol((w, zero_vec(n)), zero_vec(n),
-                           atom_coeff(n, k).shift_lambda(shift))
+            add_symbol(lhs, (w, zero_vec(n)), zero_vec(n),
+                       shift_lambda(atom_coeff(n, k), shift))
             assert (lhs - rhs).is_zero()
 
 
 def test_expand_to_base_passthrough_and_errors(qbg3):
     combo = DemazureCombo(3)
-    combo.add_symbol(((1, 2, 3), zero_vec(3)), zero_vec(3), Coeff.one(3))
+    add_symbol(combo, ((1, 2, 3), zero_vec(3)), zero_vec(3), Coeff.monomial(3))
     assert expand_to_base(qbg3, combo) == combo
     bad = DemazureCombo(3)
-    bad.add_term(((1, 2, 3), (1, 1, 0)), RationalCoeff(Coeff.one(3)))
+    bad.add_term(((1, 2, 3), (1, 1, 0)), RationalCoeff(Coeff.monomial(3)))
     with pytest.raises(ValueError):
         expand_to_base(qbg3, bad)
 
@@ -204,9 +195,9 @@ def test_instance1_display(qbg3):
     w = parse_word("s1 s2 s1", 3)
     x = _x(w)
     expected = (
-        _block(qbg3, w, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-        + _block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1, eps_vec(2, 3))
-        + _block(qbg3, (1, 2, 3), "gamma", 1, vec_add(A1CV, A2CV), 1, eps_vec(1, 3))
+        display_block(qbg3, w, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
+        + display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1, eps_vec(2, 3))
+        + display_block(qbg3, (1, 2, 3), "gamma", 1, vec_add(A1CV, A2CV), 1, eps_vec(1, 3))
     )
     cf = ic_rhs_cancel_free_first(qbg3, x, 3)
     assert cf == expected
@@ -275,11 +266,11 @@ def test_instance2_display(qbg3):
     assert qbg3.p_path(w, -2, 1).end == s2312
     assert qbg3.p_path(w, -2, 1).weight == zero_vec(3)
     expected = (
-        _block(qbg3, w, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
-        + _block(qbg3, s3, "theta", 3, A2CV, 1, vec_neg(eps_vec(3, 3)))
-        + _block(qbg3, s232, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-        + _block(qbg3, s23, "gamma", 2, A2CV, 1, eps_vec(2, 3))
-        + _block(qbg3, s2312, "gamma", 1, zero_vec(3), 0, eps_vec(1, 3))
+        display_block(qbg3, w, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
+        + display_block(qbg3, s3, "theta", 3, A2CV, 1, vec_neg(eps_vec(3, 3)))
+        + display_block(qbg3, s232, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
+        + display_block(qbg3, s23, "gamma", 2, A2CV, 1, eps_vec(2, 3))
+        + display_block(qbg3, s2312, "gamma", 1, zero_vec(3), 0, eps_vec(1, 3))
     )
     conj = ic_rhs_conjecture_second(qbg3, x, 2, 3)
     assert conj == expected
@@ -330,10 +321,10 @@ def test_instance3_display(qbg3):
     assert qbg3.p_path(w, -1, 1).weight == a123
     assert pair(eps_vec(1, 3), a123) == 1
     expected = (
-        _block(qbg3, w, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
-        + _block(qbg3, s1232, "theta", 2, A1CV, 1, vec_neg(eps_vec(2, 3)))
-        + _block(qbg3, s123, "theta", 3, a12, 1, vec_neg(eps_vec(3, 3)))
-        + _block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3))
+        display_block(qbg3, w, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
+        + display_block(qbg3, s1232, "theta", 2, A1CV, 1, vec_neg(eps_vec(2, 3)))
+        + display_block(qbg3, s123, "theta", 3, a12, 1, vec_neg(eps_vec(3, 3)))
+        + display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3))
     )
     conj = ic_rhs_conjecture_second(qbg3, x, 1, 1)
     assert conj == expected

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import oracle_subsets
+from helpers import add_symbol, oracle_subsets
 from qalcove import expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
@@ -44,7 +44,7 @@ from qalcove.verify import _key_sides
 def fold_oracle(n, terms):
     combo = DemazureCombo(n)
     for sym, mu, c in terms:
-        combo.add_symbol(sym, mu, c)
+        add_symbol(combo, sym, mu, c)
     return combo
 
 
@@ -62,7 +62,7 @@ def chevalley_oracle(qbg, w, sign, k, cache):
         atom = k if sign == "+" else k - 1
         combo = DemazureCombo(n)
         for key, rc in plain.terms.items():
-            combo.add_term(key, rc * RationalCoeff(Coeff.one(n), (atom,) if atom else ()))
+            combo.add_term(key, rc * RationalCoeff(Coeff.monomial(n), (atom,) if atom else ()))
         cache[(w, sign, k)] = combo
     return cache[(w, sign, k)]
 
@@ -269,7 +269,7 @@ def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
 
 
 def test_repeated_atom_raises(qbg3):
-    one = Coeff.one(3)
+    one = Coeff.monomial(3)
     with pytest.raises(ValueError, match="repeated"):
         DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one, None)])
     # a repeated atom raises even when its numerators cancel
@@ -290,10 +290,10 @@ def test_repeated_atom_raises(qbg3):
 
 def test_normalized_absorbs_translation():
     sym = ((1, 2, 3), (0, 1, -1))
-    [item] = normalized([(sym, zero_vec(3), Coeff.one(3))])
+    [item] = normalized([(sym, zero_vec(3), Coeff.monomial(3))])
     key, atoms, numer, factor = item
     assert key == ((1, 2, 3), zero_vec(3)) and atoms == ()
-    assert numer == Coeff.one(3)
+    assert numer == Coeff.monomial(3)
     assert numer * factor == Coeff.monomial(3, x=(0, -1, 0))
     combo = DemazureCombo.summed(3, [item])
     assert combo.terms == {key: RationalCoeff(Coeff.monomial(3, x=(0, -1, 0)))}

@@ -10,8 +10,9 @@ from helpers import (
     assert_filtered_structure,
     assert_minimum,
     assert_shortest_weights_unique,
+    shortest_paths,
 )
-from qalcove.qbg import distance, gamma_label, path_weight
+from qalcove.qbg import gamma_label, path_weight
 from qalcove.typec import (
     identity_w,
     parse_word,
@@ -57,14 +58,6 @@ def test_criterion_matches_rank3(qbg3):
 def test_criterion_matches_rank4_sampled(qbg4):
     sample = qbg4.group[::7]
     assert_criterion_matches(qbg4, group=sample)
-
-
-def test_distance():
-    assert distance(-3, 1, 3) == 3
-    assert distance(1, -3, 3) == 3
-    assert distance(2, 2, 3) == 0
-    assert distance(-1, -3, 3) == 2
-    assert distance(3, -3, 3) == 1
 
 
 def test_gamma_label():
@@ -132,7 +125,7 @@ def test_p_path_weight_helper(qbg3):
 
 
 def test_shortest_paths_frozen(qbg3):
-    paths = qbg3.shortest_paths((3, 2, 1), identity_w(3))
+    paths = shortest_paths(qbg3, (3, 2, 1), identity_w(3))
     assert len(paths) == 1
     assert paths[0].steps == (((1, 0, -1), "Q"),)
 

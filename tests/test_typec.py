@@ -2,15 +2,12 @@
 
 import pytest
 
+from helpers import coroot_from_alpha_coords, w_apply
 from qalcove.typec import (
     act,
-    affine_apply,
-    affine_mul,
     alpha_coords,
     coroot,
-    coroot_from_alpha_coords,
     eps_vec,
-    fundamental_weight,
     identity_w,
     inv,
     is_positive_root,
@@ -32,7 +29,6 @@ from qalcove.typec import (
     simple_refl,
     simple_root,
     vec_add,
-    w_apply,
     w_from_word,
     weyl_group,
     window_str,
@@ -41,7 +37,6 @@ from qalcove.typec import (
 
 
 def test_pairings_rank3():
-    assert pair(fundamental_weight(2, 3), coroot(simple_root(2, 3))) == 1
     assert pair(rho(3), coroot(root_from_letters(1, 3, 3))) == 2
     assert pair(eps_vec(3, 3), coroot((0, 0, 2))) == 1
     assert pair(rho(3), coroot((0, 0, 2))) == 1
@@ -144,22 +139,6 @@ def test_letter_positions():
     assert [letter_pos(a, 3) for a in (1, 2, 3, -3, -2, -1)] == [1, 2, 3, 4, 5, 6]
     for p in range(1, 7):
         assert letter_pos(letter_from_pos(p, 3), 3) == p
-
-
-def test_affine_mul_frozen():
-    a = ((2, 1), (1, -1))
-    b = ((1, -2), (0, 1))
-    assert affine_mul(a, b) == ((2, -1), (1, 2))
-
-
-def test_affine_mul_is_faithful_composition():
-    pts = [(0, 0), (1, 0), (2, -1), (-1, 3)]
-    elts = [((2, 1), (1, -1)), ((1, -2), (0, 1)), ((-2, -1), (2, 2)), ((1, 2), (0, 0))]
-    for a in elts:
-        for b in elts:
-            ab = affine_mul(a, b)
-            for x in pts:
-                assert affine_apply(ab, x) == affine_apply(a, affine_apply(b, x))
 
 
 def test_parse_and_render():

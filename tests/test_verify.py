@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import add_symbol, shift_lambda, specialized_equal
 from qalcove.alcove import make_chain, subset_stats
 from qalcove.expansions import (
     chevalley_expand,
@@ -14,7 +15,7 @@ from qalcove.expansions import (
     ic_lhs,
     ic_rhs_first,
 )
-from qalcove.ring import Coeff, DemazureCombo, RationalCoeff
+from qalcove.ring import EXP_MAX, EXP_MIN, Coeff, DemazureCombo, RationalCoeff, normalize
 from qalcove.typec import (
     act,
     eps_vec,
@@ -33,7 +34,6 @@ from qalcove.verify import (
     key_second_sides,
     pair_domain,
     pair_involution,
-    specialized_equal,
     verify_first_half,
     verify_key_props,
     verify_second_half,
@@ -107,7 +107,7 @@ def test_key_second_is_shifted_key_first(qbg3):
                 for (y, mu), rc in combo.terms.items():
                     assert rc.atoms == ()
                     out.add_term((y, vec_add(mu, shift)),
-                                 RationalCoeff(rc.numer.shift_lambda(shift) * emu))
+                                 RationalCoeff(shift_lambda(rc.numer, shift) * emu))
                 return out
 
             assert shifted(l1) == r2
@@ -229,8 +229,92 @@ def test_certificate_polarity(qbg3):
     x = (w, zero_vec(3))
     assert cancellation_certificate(ic_cf_first_terms(qbg3, x, 3))
     assert not cancellation_certificate(ic_first_terms(qbg3, x, 3))
-    single = [(((1, 2, 3), zero_vec(3)), zero_vec(3), Coeff.one(3))]
+    single = [(((1, 2, 3), zero_vec(3)), zero_vec(3), Coeff.monomial(3))]
     assert cancellation_certificate(single)
+
+
+def product_certificate(terms):
+    """The certificate as computed before packed keys: each summand times
+    its translation monomial by ``Coeff.__mul__``."""
+    seen = {}
+    for sym, mu, c in terms:
+        key, mult = normalize(sym, mu)
+        prod = c * mult
+        for mono, coef in prod.packed.items():
+            s = 1 if coef > 0 else -1
+            full = (key, mono)
+            prev = seen.get(full)
+            if prev is not None and prev != s:
+                return False
+            seen[full] = s
+    return True
+
+
+def _certificate_streams(qbg, w, xi):
+    """Every collapsed-first, alternating-first and collapsed-second stream
+    of (w, xi); some alternating-first streams cancel."""
+    x = (w, xi)
+    for m in range(1, qbg.n + 1):
+        yield list(ic_cf_first_terms(qbg, x, m))
+        yield list(ic_first_terms(qbg, x, m))
+        for l in range(m, qbg.n + 1):
+            yield list(ic_conj_second_terms(qbg, x, m, l))
+
+
+def _certificates_match_product_oracle(qbg, elements, rng):
+    outcomes = set()
+    for w in elements:
+        for xi in (zero_vec(qbg.n), tuple(rng.randint(-2, 2) for _ in range(qbg.n))):
+            for terms in _certificate_streams(qbg, w, xi):
+                got = cancellation_certificate(terms)
+                assert got == product_certificate(terms), (w, xi)
+                outcomes.add(got)
+    return outcomes
+
+
+def test_certificate_matches_product_oracle(qbg2, qbg3, qbg4):
+    rng = random.Random(25)
+    outcomes = set()
+    for qbg in (qbg2, qbg3):
+        outcomes |= _certificates_match_product_oracle(qbg, qbg.group, rng)
+    assert outcomes == {True, False}
+    sample = random.Random(4).sample(qbg4.group, 12)
+    assert _certificates_match_product_oracle(qbg4, sample, rng) == {True, False}
+
+
+def test_certificate_hand_built_streams():
+    n = 2
+    sym, mu = ((2, 1), (1, 0)), eps_vec(1, n)
+    plus = Coeff.monomial(n, 1, q=1, x=(1, 0))
+    other = Coeff.monomial(n, 1, q=2)
+    # +c and -c on one symbol cancel, whatever lies between them
+    stream = [(sym, mu, plus), (sym, mu, other), (sym, mu, -plus)]
+    assert cancellation_certificate(stream) is product_certificate(stream) is False
+    # the same normalized monomial reached from two translations cancels too:
+    # V_{y t_xi}(lam+mu) = q^{-<mu,xi>} x^{-c} V_y(lam+mu) with
+    # xi = sum c_i alpha_i^vee, here q^-1 x_1^-1 x_2^-1, so q x_1 -> x_2^-1
+    shifted = Coeff.monomial(n, -1, x=(0, -1))
+    stream = [(sym, mu, plus), (((2, 1), (0, 0)), mu, shifted)]
+    assert cancellation_certificate(stream) is product_certificate(stream) is False
+    stream = [(sym, mu, plus), (sym, mu, plus), (sym, vec_neg(mu), -plus)]
+    assert cancellation_certificate(stream) is product_certificate(stream) is True
+
+
+@pytest.mark.parametrize("xi, edge", [((1, 0), EXP_MIN), ((-1, 0), EXP_MAX)],
+                         ids=["min", "max"])
+def test_certificate_out_of_range_raises(xi, edge):
+    # xi = +-eps_1^vee has simple-coroot coordinates +-(1, 1), so the
+    # translation monomial x_1^-+1 x_2^-+1 pushes an x_1 exponent at the
+    # edge of the packed range past it
+    n = 2
+    sym, mu = ((1, 2), xi), zero_vec(n)
+    bad = Coeff.monomial(n, 1, x=(edge, 0))
+    fine = Coeff.monomial(n, 1, q=1)
+    for stream in ([(sym, mu, bad)],
+                   [(sym, mu, fine), (sym, mu, bad), (sym, mu, -fine)]):
+        for certificate in (cancellation_certificate, product_certificate):
+            with pytest.raises(ValueError, match="packed range"):
+                certificate(stream)
 
 
 def test_conjecture_scan_rank2(qbg2):
@@ -256,8 +340,8 @@ def test_conjecture_scan_worked_instances(qbg3):
 
 def test_latex_rendering(qbg3):
     combo = DemazureCombo(3)
-    combo.add_symbol((parse_word("s1 s2", 3), (1, 0, -1)), eps_vec(2, 3),
-                     Coeff.monomial(3, -2, q=-1, nu=(1, 0, 0)))
+    add_symbol(combo, (parse_word("s1 s2", 3), (1, 0, -1)), eps_vec(2, 3),
+               Coeff.monomial(3, -2, q=-1, nu=(1, 0, 0)))
     tex = combo_latex(combo)
     assert "V^{-}" in tex and "\\lambda" in tex and "\\varepsilon_{2}" in tex
     assert combo_latex(DemazureCombo(3)) == "0"
