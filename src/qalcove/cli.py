@@ -417,7 +417,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     for key, val in pairs.items():
         flag = "--" + key.replace("_", "-")
         if flag not in rest:
-            extra += [flag, val]
+            extra.append(f"{flag}={val}")  # a value may start with "-"
     # config-derived flags go right after the subcommand
     for j, tok in enumerate(rest):
         if not tok.startswith("-"):

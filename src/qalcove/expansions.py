@@ -15,10 +15,14 @@ back into characters at the shifted weights lam +- eps_j:
   its blocks one list each, so a scan over l can add one block per step.
 
 Everything returns a ``DemazureCombo`` keyed by (window, weight shift); the
-``*_terms`` generators stream the individual summands, each a symbol times a
-single signed monomial, before any cancellation occurs.  Every summand comes
-from ``_block``: one signed term per admissible subset of the gamma or
-theta chain of a target letter.
+``*_terms`` generators stream the individual summands before any
+cancellation occurs.  A summand (affine symbol, mu, key, c) stands for
+c q^k e^nu gch V_{y t_xi}(lam + mu), where (y, xi) is the symbol and the
+packed monomial ``key`` holds q^k e^nu with no x-part, as the paper
+displays it.  Every summand comes from ``_block``: one per admissible
+subset of the gamma or theta chain of a target letter, all sharing the
+block's monomial.  ``normalized`` absorbs each translation into the key,
+and one loop, ``_fold``, sums the results per symbol.
 """
 
 from __future__ import annotations
@@ -29,10 +33,8 @@ from typing import Iterable, Iterator
 from .alcove import admissible_subsets, filtered_A, make_chain
 from .qbg import QBG
 from .ring import (
-    Coeff,
     DemazureCombo,
     check_packed,
-    normalized,
     pack,
     packed_words,
     translation_key,
@@ -50,7 +52,7 @@ from .typec import (
 )
 
 AffinePair = tuple[Window, Vec]
-Term = tuple[AffinePair, Vec, Coeff]
+Term = tuple[AffinePair, Vec, int, int]  # (symbol, mu, packed q^k e^nu, count)
 
 
 def _sign(c: int) -> int:
@@ -128,23 +130,17 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
     bias = packed_words(n)[0]
     head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
     tail = _block_chain(-t, n)
-    buckets: dict[Window, dict[int, int]] = {}
-    seen = 0
-    for A1 in admissible_subsets(qbg, w, head):
-        # the x-fields of one key and the nu-fields of the other are zero, so
-        # their sum cannot leave the packed range
-        off = (translation_key(mu, A1.down)
-               + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
-        for B in admissible_subsets(qbg, A1.end, tail):
-            p = off + translation_key(zero, B.down)  # see packed_words
-            seen |= p
-            bucket = buckets.setdefault(B.end, {})
-            bucket[p] = bucket.get(p, 0) + _sign(len(B.positions))
-    check_packed(n, seen)
+
+    def entries():
+        for A1 in admissible_subsets(qbg, w, head):
+            off = (translation_key(mu, A1.down)
+                   + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
+            for B in admissible_subsets(qbg, A1.end, tail):
+                p = off + translation_key(zero, B.down)  # see packed_words
+                yield (B.end, zero), p, _sign(len(B.positions))
+
     atom = t if t > 0 else -t - 1
-    atoms = (atom,) if atom else ()
-    return DemazureCombo.from_buckets(
-        n, {((y, zero), atoms): bucket for y, bucket in buckets.items()})
+    return _fold(n, entries(), (atom,) if atom else ())
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -180,9 +176,9 @@ def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
     _check_m(n, m)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    zero = zero_vec(n)
     nu = act(x[0], eps_vec(m if sign == "+" else -m, n))
-    term = (x, zero_vec(n), Coeff.monomial(n, nu=nu))
-    return DemazureCombo.summed(n, normalized([term]))
+    return _fold(n, normalized([(x, zero, pack(n, (0, zero, nu)), 1)]))
 
 
 def chained_filtered(qbg: QBG, w: Window, src: int,
@@ -254,11 +250,10 @@ def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1,
     s (-1)^{|B|} q^{<eps_t, dxi>} e^{nu} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
     """
     n = qbg.n
-    mu = eps_vec(t, n)
-    qe = pair(mu, dxi)
+    mu, zero = eps_vec(t, n), zero_vec(n)
+    key = pack(n, (pair(mu, dxi), zero, nu or zero))
     for B in admissible_subsets(qbg, v, _block_chain(t, n)):
-        c = Coeff.monomial(n, s * _sign(len(B.positions)), q=qe, nu=nu)
-        yield (B.end, vec_add(B.down, dxi)), mu, c
+        yield (B.end, vec_add(B.down, dxi)), mu, key, s * _sign(len(B.positions))
 
 
 def _block_chain(t: int, n: int):
@@ -363,9 +358,38 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
     yield from chain.from_iterable(conj_second_blocks(qbg, x, m, l))
 
 
+def normalized(terms: Iterable[Term]) -> Iterator[tuple[AffinePair, int, int]]:
+    """(symbol (y, mu), packed monomial, count) for each summand.
+
+    V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu) with
+    xi = sum c_i alpha_i^vee, so the translation's ``translation_key`` is
+    added to the summand's key.  A sum with a field outside the packed
+    range raises ValueError before it is yielded.
+    """
+    for (y, xi), mu, key, c in terms:
+        key += translation_key(mu, xi) - packed_words(len(mu))[0]  # see packed_words
+        check_packed(len(mu), key)
+        yield (y, mu), key, c
+
+
+def _fold(n: int, entries: Iterable[tuple[AffinePair, int, int]],
+          atoms: tuple[int, ...] = ()) -> DemazureCombo:
+    """The sum of count * monomial / prod(atoms) * V_symbol over
+    (symbol, packed monomial, count) entries, one integer bucket per symbol.
+    ValueError if a key was summed out of the packed range."""
+    acc: dict[AffinePair, dict[int, int]] = {}
+    seen = 0
+    for sym, key, c in entries:
+        seen |= key
+        bucket = acc.setdefault(sym, {})
+        bucket[key] = bucket.get(key, 0) + c
+    check_packed(n, seen)
+    return DemazureCombo.from_buckets(n, {(sym, atoms): b for sym, b in acc.items()})
+
+
 def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
-    """Sum a stream of (affine symbol, weight shift, coefficient) terms."""
-    return DemazureCombo.summed(n, normalized(terms))
+    """Sum a stream of (affine symbol, mu, packed monomial, count) summands."""
+    return _fold(n, normalized(terms))
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

@@ -25,13 +25,14 @@ cancelled.  A reduced fraction is the unique form of its value, so
 equality compares numerators and atoms directly.
 
 A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
-of level-zero Demazure characters with RationalCoeff coefficients;
-translation parts are absorbed on insertion:
-V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu).
-Every combination is built by one fold, ``DemazureCombo.summed``: it adds
-the numerators that share a symbol and a denominator as plain integer
-dicts, multiplying an item's numerator by its factor on the way, one
-packed-key addition per monomial pair, then reduces each sum once.
+of level-zero Demazure characters with RationalCoeff coefficients.  A
+translation V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu)
+is one packed monomial, ``translation_key``, which the summand folds of
+``expansions`` add to a summand's key.  Every combination is built from
+integer buckets by ``DemazureCombo.from_buckets``; ``summed`` fills them
+with the numerators that share a symbol and a denominator, multiplying an
+item's numerator by its factor on the way, one packed-key addition per
+monomial pair, and each bucket is reduced once.
 """
 
 from __future__ import annotations
@@ -130,11 +131,6 @@ class Coeff:
         out.n = n
         out.packed = {k: c for k, c in packed.items() if c}
         return out
-
-    @classmethod
-    def monomial(cls, n: int, c: int = 1, q: int = 0,
-                 x: Vec | None = None, nu: Vec | None = None) -> "Coeff":
-        return cls.from_packed(n, {pack(n, (q, x or zero_vec(n), nu or zero_vec(n))): c})
 
     @property
     def terms(self) -> dict[TermKey, int]:
@@ -323,35 +319,12 @@ class RationalCoeff:
 
 # --- formal Demazure combinations -------------------------------------------
 
-def normalize(x: tuple[Window, Vec], mu: Vec) -> tuple[tuple[Window, Vec], Coeff]:
-    """Absorb the translation of an affine index into a coefficient.
-
-    V_{w t_xi}(lam+mu) = q^{-<lam+mu, xi>} V_w(lam+mu); the lam-pairing is
-    the monomial prod x_i^{-c_i} with xi = sum c_i alpha_i^vee.
-    """
-    w, xi = x
-    return (w, mu), _translation(mu, xi)
-
-
-@lru_cache(maxsize=1 << 12)  # shared, so never changed: see Coeff
-def _translation(mu: Vec, xi: Vec) -> Coeff:
-    return Coeff.from_packed(len(xi), {translation_key(mu, xi): 1})
-
-
 @lru_cache(maxsize=1 << 12)
 def translation_key(mu: Vec, xi: Vec) -> int:
     """The packed monomial q^{-<mu, xi>} prod x_i^{-c_i}, where
     xi = sum c_i alpha_i^vee."""
     coords = alpha_coords(xi)
     return pack(len(xi), (-pair(mu, xi), tuple(-c for c in coords), zero_vec(len(xi))))
-
-
-def normalized(terms):
-    """``DemazureCombo.summed`` items of (affine symbol, mu, Coeff) terms;
-    the fold multiplies each coefficient by its translation monomial."""
-    for sym, mu, c in terms:
-        key, mult = normalize(sym, mu)
-        yield key, (), c, mult
 
 
 class DemazureCombo:

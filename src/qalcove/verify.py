@@ -32,17 +32,10 @@ from .expansions import (
     ic_rhs_cancel_free_first,
     ic_rhs_first,
     ic_rhs_second,
+    normalized,
 )
 from .qbg import QBG
-from .ring import (
-    Coeff,
-    DemazureCombo,
-    RationalCoeff,
-    check_packed,
-    clear_denominators,
-    normalized,
-    packed_words,
-)
+from .ring import Coeff, DemazureCombo, RationalCoeff, clear_denominators
 from .typec import (
     Vec,
     Window,
@@ -152,7 +145,7 @@ def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureComb
     n = qbg.n
     lhs = fold_terms(n, _block(qbg, w, t, zero_vec(n)))
     rhs = _block(qbg, w, -t, zero_vec(n), nu=act(w, eps_vec(t, n)))
-    return lhs, fold_terms(n, ((sym, zero_vec(n), c) for sym, _, c in rhs))
+    return lhs, fold_terms(n, ((sym, zero_vec(n), key, c) for sym, _, key, c in rhs))
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -277,25 +270,15 @@ def collapse_check(qbg: QBG, w: Window, m: int, j: int) -> bool:
 def cancellation_certificate(terms: Iterable[Term]) -> bool:
     """True iff no two streamed summands cancel.
 
-    Each summand is normalized to (symbol key, packed monomial), adding the
-    translation monomial's key to each packed key as the fold does; the
-    stream is cancellation-free when no normalized key is hit with both
-    signs.  A summand with a key outside the packed range raises ValueError
-    before any of its keys is compared.
+    Each summand is ``normalized`` to (symbol, packed monomial, count), as
+    the fold reads it; the stream is cancellation-free when no (symbol,
+    monomial) is hit with both signs.  A summand with a key outside the
+    packed range raises ValueError before it is compared.
     """
-    seen: dict[tuple, int] = {}
-    for key, _, numer, factor in normalized(terms):
-        n = numer.n
-        (shift, f), = factor.packed.items()  # one translation monomial
-        shift -= packed_words(n)[0]  # see packed_words
-        bits = 0
-        for t in numer.packed:
-            bits |= t + shift
-        check_packed(n, bits)
-        for t, c in numer.packed.items():
-            s = 1 if c * f > 0 else -1
-            if seen.setdefault((key, t + shift), s) != s:
-                return False
+    seen: dict[tuple, bool] = {}
+    for sym, key, c in normalized(terms):
+        if seen.setdefault((sym, key), c > 0) != (c > 0):
+            return False
     return True
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
 from qalcove.qbg import DirectedPath
-from qalcove.ring import Coeff, DemazureCombo, RationalCoeff, normalize
+from qalcove.ring import Coeff, DemazureCombo, RationalCoeff, pack, translation_key
 from qalcove.typec import (
     act,
     coroot,
@@ -370,6 +370,48 @@ def specialized_equal(a, b, lam):
     return all(specialize(rc.numer, lam).is_zero() for rc in (a - b).terms.values())
 
 
+def monomial(n, c=1, q=0, x=None, nu=None):
+    """The one-term Coeff c q^q x^x e^nu."""
+    return Coeff.from_packed(n, {pack(n, (q, x or zero_vec(n), nu or zero_vec(n))): c})
+
+
+def normalize(x, mu):
+    """Absorb the translation of an affine symbol x = (w, xi) into a Coeff:
+    V_{w t_xi}(lam+mu) = q^{-<lam+mu, xi>} V_w(lam+mu), whose lam-pairing
+    is the monomial prod x_i^{-c_i} with xi = sum c_i alpha_i^vee."""
+    w, xi = x
+    return (w, mu), Coeff.from_packed(len(xi), {translation_key(mu, xi): 1})
+
+
+def coeff_terms(terms):
+    """A summand stream with each (packed key, count) turned into a one-term
+    Coeff, the (symbol, mu, Coeff) form the one-at-a-time oracles read."""
+    for sym, mu, key, c in terms:
+        yield sym, mu, Coeff.from_packed(len(mu), {key: c})
+
+
+def summed_oracle(n, terms):
+    """The summands folded the Coeff way: each coefficient times its
+    ``normalize`` translation, by the product loop of DemazureCombo.summed."""
+    items = []
+    for sym, mu, c in coeff_terms(terms):
+        key, mult = normalize(sym, mu)
+        items.append((key, (), c, mult))
+    return DemazureCombo.summed(n, items)
+
+
+def product_certificate(terms):
+    """The cancellation certificate the Coeff way: each summand times its
+    translation monomial by ``Coeff.__mul__``, its monomials compared by sign."""
+    seen = {}
+    for sym, mu, c in coeff_terms(terms):
+        key, mult = normalize(sym, mu)
+        for mono, coef in (c * mult).packed.items():
+            if seen.setdefault((key, mono), coef > 0) != (coef > 0):
+                return False
+    return True
+
+
 def add_symbol(combo, x, mu, c):
     """Add c * V_{x}(lam+mu) to combo with x affine, one term at a time;
     the translation is absorbed."""
@@ -383,5 +425,5 @@ def display_block(qbg, base, kind, j, extra, qexp, mu):
     for B in admissible_subsets(qbg, base, make_chain(kind, j, qbg.n)):
         sign = -1 if len(B.positions) % 2 else 1
         add_symbol(combo, (B.end, vec_add(B.down, extra)), mu,
-                   Coeff.monomial(qbg.n, sign, q=qexp))
+                   monomial(qbg.n, sign, q=qexp))
     return combo

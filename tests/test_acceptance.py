@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 from qalcove.alcove import (
-    CHAIN_KINDS,
     alcove_walk,
     make_chain,
     reducedness_check,

@@ -416,6 +416,23 @@ def test_config_equals_form_is_read(tmp_path, capsys):
     assert out.splitlines()[0].startswith("qbg rank 2")
 
 
+def test_config_value_may_start_with_minus(tmp_path, capsys):
+    # a config value is passed as --flag=value, so argparse does not read
+    # "-1,0" as a flag; it must verify just as --xi=-1,0 does
+    cfg = tmp_path / "cfg"
+    cfg.write_text("xi=-1,0\n")
+    argv = ["verify", "--rank", "2", "--variant", "first", "--format", "json"]
+    code, out, err = run(["--config", str(cfg)] + argv, capsys)
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 16 and all(r["status"] == "verified" for r in reports)
+    assert all("xi=[-1,0]" in r["instance"] for r in reports)
+    code, out, _ = run(argv + ["--xi=-1,0"], capsys)
+    assert code == 0
+    assert [r["instance"] for r in json.loads(out)["reports"]] == \
+        [r["instance"] for r in reports]
+
+
 def test_config_equals_without_path_is_exit_2(capsys):
     code, out, err = run(["--config=", "qbg"], capsys)
     _assert_bad_input(code, out, err)

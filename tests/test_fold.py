@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import add_symbol, oracle_subsets
+from helpers import add_symbol, coeff_terms, monomial, oracle_subsets
 from qalcove import expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
@@ -21,8 +21,10 @@ from qalcove.expansions import (
     _summed,
     chevalley_expand,
     expand_to_base,
+    fold_terms,
     ic_rhs_first,
     ic_rhs_second,
+    normalized,
 )
 from qalcove.ring import (
     EXP_MAX,
@@ -33,8 +35,8 @@ from qalcove.ring import (
     atom_coeff,
     clear_denominators,
     divide_by_atom,
-    normalized,
     pack,
+    translation_key,
 )
 from qalcove.qbg import QBG
 from qalcove.typec import act, eps_vec, zero_vec
@@ -57,12 +59,12 @@ def chevalley_oracle(qbg, w, sign, k, cache):
         chain = make_chain("eps" if sign == "+" else "eps_neg", k, n)
         plain = fold_oracle(n, (
             ((end, down), zero_vec(n),
-             Coeff.monomial(n, -1 if n_neg % 2 else 1, q=-height, nu=wt))
+             monomial(n, -1 if n_neg % 2 else 1, q=-height, nu=wt))
             for _, end, down, n_neg, wt, height in oracle_subsets(qbg, w, chain)))
         atom = k if sign == "+" else k - 1
         combo = DemazureCombo(n)
         for key, rc in plain.terms.items():
-            combo.add_term(key, rc * RationalCoeff(Coeff.monomial(n), (atom,) if atom else ()))
+            combo.add_term(key, rc * RationalCoeff(monomial(n), (atom,) if atom else ()))
         cache[(w, sign, k)] = combo
     return cache[(w, sign, k)]
 
@@ -81,10 +83,10 @@ def expand_oracle(qbg, combo, cache):
 
 def key_sides_oracle(qbg, w, t):
     n = qbg.n
-    shift = Coeff.monomial(n, 1, nu=act(w, eps_vec(t, n)))
+    shift = monomial(n, 1, nu=act(w, eps_vec(t, n)))
     rhs = fold_oracle(n, ((sym, zero_vec(n), c * shift)
-                          for sym, _, c in _block(qbg, w, -t, zero_vec(n))))
-    return fold_oracle(n, _block(qbg, w, t, zero_vec(n))), rhs
+                          for sym, _, c in coeff_terms(_block(qbg, w, -t, zero_vec(n)))))
+    return fold_oracle(n, coeff_terms(_block(qbg, w, t, zero_vec(n)))), rhs
 
 
 def assert_same(a, b):
@@ -102,7 +104,7 @@ def check_element(qbg, w, xi, cache):
                  _inverse_terms(qbg, x, m, range(1, m), _summed)),
                 (ic_rhs_second(qbg, x, m),
                  _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))):
-            oracle = fold_oracle(n, stream)
+            oracle = fold_oracle(n, coeff_terms(stream))
             assert_same(built, oracle)
             assert_same(expand_to_base(qbg, built), expand_oracle(qbg, oracle, cache))
     for k in range(1, n + 1):
@@ -269,7 +271,7 @@ def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
 
 
 def test_repeated_atom_raises(qbg3):
-    one = Coeff.monomial(3)
+    one = monomial(3)
     with pytest.raises(ValueError, match="repeated"):
         DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one, None)])
     # a repeated atom raises even when its numerators cancel
@@ -290,10 +292,10 @@ def test_repeated_atom_raises(qbg3):
 
 def test_normalized_absorbs_translation():
     sym = ((1, 2, 3), (0, 1, -1))
-    [item] = normalized([(sym, zero_vec(3), Coeff.monomial(3))])
-    key, atoms, numer, factor = item
-    assert key == ((1, 2, 3), zero_vec(3)) and atoms == ()
-    assert numer == Coeff.monomial(3)
-    assert numer * factor == Coeff.monomial(3, x=(0, -1, 0))
-    combo = DemazureCombo.summed(3, [item])
-    assert combo.terms == {key: RationalCoeff(Coeff.monomial(3, x=(0, -1, 0)))}
+    term = (sym, zero_vec(3), pack(3, (0, zero_vec(3), zero_vec(3))), 1)
+    [item] = normalized([term])
+    key, packed, c = item
+    assert key == ((1, 2, 3), zero_vec(3)) and c == 1
+    assert packed == translation_key(zero_vec(3), sym[1])
+    assert Coeff.from_packed(3, {packed: c}) == monomial(3, x=(0, -1, 0))
+    assert fold_terms(3, [term]).terms == {key: RationalCoeff(monomial(3, x=(0, -1, 0)))}

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from helpers import oracle_subsets, root_count_length
+from helpers import normalize, oracle_subsets, root_count_length
 from qalcove.alcove import CHAIN_KINDS, admissible_subsets, make_chain, subset_stats
 from qalcove.qbg import QBG
 from qalcove.ring import (
     EXP_MAX,
     EXP_MIN,
     Coeff,
-    normalize,
     pack,
     unpack,
 )

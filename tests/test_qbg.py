@@ -17,7 +17,6 @@ from qalcove.typec import (
     identity_w,
     parse_word,
     simple_root,
-    w_from_word,
 )
 
 

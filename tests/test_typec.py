@@ -28,7 +28,6 @@ from qalcove.typec import (
     root_str,
     simple_refl,
     simple_root,
-    vec_add,
     w_from_word,
     weyl_group,
     window_str,

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from helpers import add_symbol, shift_lambda, specialized_equal
+from helpers import add_symbol, monomial, product_certificate, shift_lambda, specialized_equal
 from qalcove.alcove import make_chain, subset_stats
 from qalcove.expansions import (
-    chevalley_expand,
     expand_to_base,
     ic_cf_first_terms,
     ic_conj_second_terms,
@@ -15,7 +14,7 @@ from qalcove.expansions import (
     ic_lhs,
     ic_rhs_first,
 )
-from qalcove.ring import EXP_MAX, EXP_MIN, Coeff, DemazureCombo, RationalCoeff, normalize
+from qalcove.ring import EXP_MAX, EXP_MIN, DemazureCombo, RationalCoeff, pack
 from qalcove.typec import (
     act,
     eps_vec,
@@ -100,7 +99,7 @@ def test_key_second_is_shifted_key_first(qbg3):
             l1, r1 = key_first_sides(qbg3, w, k)
             l2, r2 = key_second_sides(qbg3, w, k)
             shift = vec_neg(eps_vec(k, n))
-            emu = Coeff.monomial(n, 1, nu=vec_neg(act(w, eps_vec(k, n))))
+            emu = monomial(n, 1, nu=vec_neg(act(w, eps_vec(k, n))))
 
             def shifted(combo):
                 out = DemazureCombo(n)
@@ -229,25 +228,8 @@ def test_certificate_polarity(qbg3):
     x = (w, zero_vec(3))
     assert cancellation_certificate(ic_cf_first_terms(qbg3, x, 3))
     assert not cancellation_certificate(ic_first_terms(qbg3, x, 3))
-    single = [(((1, 2, 3), zero_vec(3)), zero_vec(3), Coeff.monomial(3))]
+    single = [(((1, 2, 3), zero_vec(3)), zero_vec(3), pack(3, (0, zero_vec(3), zero_vec(3))), 1)]
     assert cancellation_certificate(single)
-
-
-def product_certificate(terms):
-    """The certificate as computed before packed keys: each summand times
-    its translation monomial by ``Coeff.__mul__``."""
-    seen = {}
-    for sym, mu, c in terms:
-        key, mult = normalize(sym, mu)
-        prod = c * mult
-        for mono, coef in prod.packed.items():
-            s = 1 if coef > 0 else -1
-            full = (key, mono)
-            prev = seen.get(full)
-            if prev is not None and prev != s:
-                return False
-            seen[full] = s
-    return True
 
 
 def _certificate_streams(qbg, w, xi):
@@ -285,18 +267,18 @@ def test_certificate_matches_product_oracle(qbg2, qbg3, qbg4):
 def test_certificate_hand_built_streams():
     n = 2
     sym, mu = ((2, 1), (1, 0)), eps_vec(1, n)
-    plus = Coeff.monomial(n, 1, q=1, x=(1, 0))
-    other = Coeff.monomial(n, 1, q=2)
+    plus = pack(n, (1, (1, 0), (0, 0)))
+    other = pack(n, (2, (0, 0), (0, 0)))
     # +c and -c on one symbol cancel, whatever lies between them
-    stream = [(sym, mu, plus), (sym, mu, other), (sym, mu, -plus)]
+    stream = [(sym, mu, plus, 1), (sym, mu, other, 1), (sym, mu, plus, -1)]
     assert cancellation_certificate(stream) is product_certificate(stream) is False
     # the same normalized monomial reached from two translations cancels too:
     # V_{y t_xi}(lam+mu) = q^{-<mu,xi>} x^{-c} V_y(lam+mu) with
     # xi = sum c_i alpha_i^vee, here q^-1 x_1^-1 x_2^-1, so q x_1 -> x_2^-1
-    shifted = Coeff.monomial(n, -1, x=(0, -1))
-    stream = [(sym, mu, plus), (((2, 1), (0, 0)), mu, shifted)]
+    shifted = pack(n, (0, (0, -1), (0, 0)))
+    stream = [(sym, mu, plus, 1), (((2, 1), (0, 0)), mu, shifted, -1)]
     assert cancellation_certificate(stream) is product_certificate(stream) is False
-    stream = [(sym, mu, plus), (sym, mu, plus), (sym, vec_neg(mu), -plus)]
+    stream = [(sym, mu, plus, 1), (sym, mu, plus, 1), (sym, vec_neg(mu), plus, -1)]
     assert cancellation_certificate(stream) is product_certificate(stream) is True
 
 
@@ -308,10 +290,10 @@ def test_certificate_out_of_range_raises(xi, edge):
     # edge of the packed range past it
     n = 2
     sym, mu = ((1, 2), xi), zero_vec(n)
-    bad = Coeff.monomial(n, 1, x=(edge, 0))
-    fine = Coeff.monomial(n, 1, q=1)
-    for stream in ([(sym, mu, bad)],
-                   [(sym, mu, fine), (sym, mu, bad), (sym, mu, -fine)]):
+    bad = pack(n, (0, (edge, 0), (0, 0)))
+    fine = pack(n, (1, (0, 0), (0, 0)))
+    for stream in ([(sym, mu, bad, 1)],
+                   [(sym, mu, fine, 1), (sym, mu, bad, 1), (sym, mu, fine, -1)]):
         for certificate in (cancellation_certificate, product_certificate):
             with pytest.raises(ValueError, match="packed range"):
                 certificate(stream)
@@ -341,7 +323,7 @@ def test_conjecture_scan_worked_instances(qbg3):
 def test_latex_rendering(qbg3):
     combo = DemazureCombo(3)
     add_symbol(combo, (parse_word("s1 s2", 3), (1, 0, -1)), eps_vec(2, 3),
-               Coeff.monomial(3, -2, q=-1, nu=(1, 0, 0)))
+               monomial(3, -2, q=-1, nu=(1, 0, 0)))
     tex = combo_latex(combo)
     assert "V^{-}" in tex and "\\lambda" in tex and "\\varepsilon_{2}" in tex
     assert combo_latex(DemazureCombo(3)) == "0"
