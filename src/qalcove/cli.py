@@ -138,7 +138,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     for v in variants:
         if v not in VERIFIERS:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
-    w = _parse_elt(args.w, n) if args.w else None
+    w = _parse_elt(args.w, n) if args.w is not None else None
     xi = _parse_xi(args.xi, n)
     if any(xi) and variants == ["key"]:
         raise ValueError("--xi applies to the first, second and cf variants only")
@@ -183,7 +183,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_scan(args) -> tuple[str, int]:
     n = args.rank
-    elements = [_parse_elt(args.w, n)] if args.w else None
+    elements = [_parse_elt(args.w, n)] if args.w is not None else None
     ms = _letters(args)
     res = conjecture_scan(QBG(n), ms=ms, elements=elements)
     if args.format == "json":

@@ -22,7 +22,7 @@ packed monomial ``key`` holds q^k e^nu with no x-part, as the paper
 displays it.  Every summand comes from ``_block``: one per admissible
 subset of the gamma or theta chain of a target letter, all sharing the
 block's monomial.  ``normalized`` absorbs each translation into the key,
-and one loop, ``_fold``, sums the results per symbol.
+and the ring's ``DemazureCombo.folded`` sums the results per symbol.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
     bias = packed_words(n)[0]
     head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
     tail = _block_chain(-t, n)
+    atom = t if t > 0 else -t - 1
+    atoms = (atom,) if atom else ()
 
     def entries():
         for A1 in admissible_subsets(qbg, w, head):
@@ -137,10 +139,9 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
                    + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
             for B in admissible_subsets(qbg, A1.end, tail):
                 p = off + translation_key(zero, B.down)  # see packed_words
-                yield (B.end, zero), p, _sign(len(B.positions))
+                yield ((B.end, zero), atoms), p, _sign(len(B.positions))
 
-    atom = t if t > 0 else -t - 1
-    return _fold(n, entries(), (atom,) if atom else ())
+    return DemazureCombo.folded(n, entries())
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -155,19 +156,26 @@ def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
     """Rewrite every V_y(lam +- eps_k) symbol through ``chevalley_expand``.
 
     Symbols already at the base weight (shift 0) pass through unchanged,
-    so the result involves the gch V_y(lam) only.  One fold sums every
-    product of numerators per (symbol, denominator).
+    so the result involves the gch V_y(lam) only.  Each product of two
+    monomials is one ``folded`` entry, whose key is one packed addition.
     """
-    def items():
+    bias = packed_words(combo.n)[0]
+
+    def entries():
         for (y, mu), rc in combo.terms.items():
+            numer = rc.numer.packed.items()
             if not any(mu):
-                yield (y, mu), rc.atoms, rc.numer, None
+                for k1, c1 in numer:
+                    yield ((y, mu), rc.atoms), k1, c1
                 continue
             k, sign = _mu_index(mu)
             for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
-                yield key2, rc2.atoms + rc.atoms, rc2.numer, rc.numer
+                sym = (key2, tuple(sorted(rc2.atoms + rc.atoms)))
+                for k2, c2 in rc2.numer.packed.items():
+                    for k1, c1 in numer:
+                        yield sym, k1 + k2 - bias, c1 * c2  # see packed_words
 
-    return DemazureCombo.summed(combo.n, items())
+    return DemazureCombo.folded(combo.n, entries())
 
 
 def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
@@ -178,7 +186,7 @@ def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     zero = zero_vec(n)
     nu = act(x[0], eps_vec(m if sign == "+" else -m, n))
-    return _fold(n, normalized([(x, zero, pack(n, (0, zero, nu)), 1)]))
+    return DemazureCombo.folded(n, normalized([(x, zero, pack(n, (0, zero, nu)), 1)]))
 
 
 def chained_filtered(qbg: QBG, w: Window, src: int,
@@ -358,8 +366,9 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
     yield from chain.from_iterable(conj_second_blocks(qbg, x, m, l))
 
 
-def normalized(terms: Iterable[Term]) -> Iterator[tuple[AffinePair, int, int]]:
-    """(symbol (y, mu), packed monomial, count) for each summand.
+def normalized(terms: Iterable[Term]) -> Iterator[tuple[tuple, int, int]]:
+    """The ``folded`` entry ((symbol (y, mu), no atoms), packed monomial,
+    count) of each summand.
 
     V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu) with
     xi = sum c_i alpha_i^vee, so the translation's ``translation_key`` is
@@ -369,27 +378,12 @@ def normalized(terms: Iterable[Term]) -> Iterator[tuple[AffinePair, int, int]]:
     for (y, xi), mu, key, c in terms:
         key += translation_key(mu, xi) - packed_words(len(mu))[0]  # see packed_words
         check_packed(len(mu), key)
-        yield (y, mu), key, c
-
-
-def _fold(n: int, entries: Iterable[tuple[AffinePair, int, int]],
-          atoms: tuple[int, ...] = ()) -> DemazureCombo:
-    """The sum of count * monomial / prod(atoms) * V_symbol over
-    (symbol, packed monomial, count) entries, one integer bucket per symbol.
-    ValueError if a key was summed out of the packed range."""
-    acc: dict[AffinePair, dict[int, int]] = {}
-    seen = 0
-    for sym, key, c in entries:
-        seen |= key
-        bucket = acc.setdefault(sym, {})
-        bucket[key] = bucket.get(key, 0) + c
-    check_packed(n, seen)
-    return DemazureCombo.from_buckets(n, {(sym, atoms): b for sym, b in acc.items()})
+        yield ((y, mu), ()), key, c
 
 
 def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
     """Sum a stream of (affine symbol, mu, packed monomial, count) summands."""
-    return _fold(n, normalized(terms))
+    return DemazureCombo.folded(n, normalized(terms))
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

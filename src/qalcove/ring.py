@@ -28,11 +28,10 @@ A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients.  A
 translation V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu)
 is one packed monomial, ``translation_key``, which the summand folds of
-``expansions`` add to a summand's key.  Every combination is built from
-integer buckets by ``DemazureCombo.from_buckets``; ``summed`` fills them
-with the numerators that share a symbol and a denominator, multiplying an
-item's numerator by its factor on the way, one packed-key addition per
-monomial pair, and each bucket is reduced once.
+``expansions`` add to a summand's key.  Every combination is built by
+``DemazureCombo.folded`` from ((symbol, atoms), packed monomial, count)
+entries: the counts that share a symbol and a denominator are added in one
+integer bucket, and each bucket is reduced once.
 """
 
 from __future__ import annotations
@@ -337,39 +336,23 @@ class DemazureCombo:
         self.terms: dict[tuple[Window, Vec], RationalCoeff] = {}
 
     @classmethod
-    def summed(cls, n: int, items) -> "DemazureCombo":
-        """The sum of numer * factor / prod(atoms) * V_key over
-        (key, atoms, numer, factor) items; a factor of None stands for 1.
+    def folded(cls, n: int, entries) -> "DemazureCombo":
+        """The sum of count * monomial / prod(atoms) * V_symbol over
+        ((symbol, sorted atoms), packed monomial, count) entries.
 
-        Numerators sharing a key and atoms are added in place, a product
-        one monomial pair at a time with the guard check of
-        ``Coeff.__mul__``; each sum is reduced once, and ``add_term`` joins
-        the sums of a key.  A reduced form is unique, so this equals adding
-        one item at a time.  Atoms are sorted, not deduplicated: a repeated
-        atom raises ValueError.
+        Counts sharing a symbol and atoms are added in one integer bucket;
+        each bucket is reduced once, and ``add_term`` joins the buckets of
+        a symbol.  A reduced form is unique, so this equals adding one
+        entry at a time.  ValueError if a key left the packed range (see
+        ``packed_words``) or an atom repeats.
         """
-        bias = packed_words(n)[0]
-        seen = 0
         acc: dict[tuple, dict[int, int]] = {}
-        for key, atoms, numer, factor in items:
-            bucket = acc.setdefault((key, tuple(sorted(atoms))), {})
-            get = bucket.get
-            if factor is None:
-                for t, c in numer.packed.items():
-                    bucket[t] = get(t, 0) + c
-                continue
-            fterms = factor.packed.items()
-            for t1, c1 in numer.packed.items():
-                for t2, c2 in fterms:
-                    t = t1 + t2 - bias  # see packed_words
-                    seen |= t
-                    bucket[t] = get(t, 0) + c1 * c2
+        seen = 0
+        for sym, key, c in entries:
+            seen |= key
+            bucket = acc.setdefault(sym, {})
+            bucket[key] = bucket.get(key, 0) + c
         check_packed(n, seen)
-        return cls.from_buckets(n, acc)
-
-    @classmethod
-    def from_buckets(cls, n: int, acc: dict[tuple, dict[int, int]]) -> "DemazureCombo":
-        """The combination of packed numerators summed per (key, atoms)."""
         out = cls(n)
         for (key, atoms), bucket in acc.items():
             out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
@@ -383,17 +366,18 @@ class DemazureCombo:
         else:
             self.terms[key] = new
 
-    def _items(self, s: int = 1) -> list:
-        """The ``summed`` items of s times this combination.  ``summed``
-        only reads numerators, so at s = 1 they pass through uncopied."""
-        return [(k, rc.atoms, rc.numer if s == 1 else rc.numer.scale(s), None)
-                for k, rc in self.terms.items()]
-
     def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
-        return DemazureCombo.summed(self.n, self._items() + other._items())
+        return self._plus(other, 1)
 
     def __sub__(self, other: "DemazureCombo") -> "DemazureCombo":
-        return DemazureCombo.summed(self.n, self._items() + other._items(-1))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "DemazureCombo", s: int) -> "DemazureCombo":
+        """self + s * other, one ``folded`` entry per monomial."""
+        return DemazureCombo.folded(self.n, (
+            ((key, rc.atoms), t, sign * c)
+            for combo, sign in ((self, 1), (other, s))
+            for key, rc in combo.terms.items() for t, c in rc.numer.packed.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DemazureCombo):
@@ -454,7 +438,8 @@ def clear_denominators(a: DemazureCombo, b: DemazureCombo):
     """
     lcm = tuple(sorted({k for combo in (a, b) for rc in combo.terms.values()
                         for k in rc.atoms}))
-    a2, b2 = (DemazureCombo.summed(c.n, ((key, (), rc.over(lcm), None)
-                                         for key, rc in c.terms.items()))
+    a2, b2 = (DemazureCombo.folded(c.n, (((key, ()), t, v)
+                                         for key, rc in c.terms.items()
+                                         for t, v in rc.over(lcm).packed.items()))
               for c in (a, b))
     return a2, b2, lcm

@@ -298,7 +298,7 @@ def parse_word(text: str, n: int) -> Window:
     toks = text.replace("*", " ").split()
     word = []
     for t in toks:
-        if not t.startswith("s"):
+        if not (t.startswith("s") and t[1:].removeprefix("-").isdecimal()):
             raise ValueError(f"bad generator {t!r}; expected e.g. 's1'")
         word.append(int(t[1:]))
     if any(i < 1 or i > n for i in word):

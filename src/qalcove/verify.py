@@ -270,8 +270,8 @@ def collapse_check(qbg: QBG, w: Window, m: int, j: int) -> bool:
 def cancellation_certificate(terms: Iterable[Term]) -> bool:
     """True iff no two streamed summands cancel.
 
-    Each summand is ``normalized`` to (symbol, packed monomial, count), as
-    the fold reads it; the stream is cancellation-free when no (symbol,
+    Each summand is ``normalized`` to its ``folded`` entry (symbol, packed
+    monomial, count); the stream is cancellation-free when no (symbol,
     monomial) is hit with both signs.  A summand with a key outside the
     packed range raises ValueError before it is compared.
     """

@@ -391,13 +391,13 @@ def coeff_terms(terms):
 
 
 def summed_oracle(n, terms):
-    """The summands folded the Coeff way: each coefficient times its
-    ``normalize`` translation, by the product loop of DemazureCombo.summed."""
-    items = []
+    """The summands folded the Coeff way, one at a time: ``add_symbol``
+    multiplies each coefficient by its ``normalize`` translation with
+    ``Coeff.__mul__`` and adds the product through ``add_term``."""
+    combo = DemazureCombo(n)
     for sym, mu, c in coeff_terms(terms):
-        key, mult = normalize(sym, mu)
-        items.append((key, (), c, mult))
-    return DemazureCombo.summed(n, items)
+        add_symbol(combo, sym, mu, c)
+    return combo
 
 
 def product_certificate(terms):

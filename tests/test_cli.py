@@ -132,6 +132,21 @@ def test_verify_bad_window_is_exit_2(capsys):
     assert "window rank" in err
 
 
+def test_verify_empty_w_is_the_identity(capsys):
+    # an empty --w reads as the identity, as ``--w e`` does, not as no --w
+    code, out, _ = run(["verify", "--rank", "2", "--w", ""], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("6/6 verified")
+    assert all("w=[1,2] " in ln for ln in out.splitlines()[:-1])
+
+
+def test_verify_word_with_a_bad_generator_is_exit_2(capsys):
+    for word in ("s", "sx"):
+        code, out, err = run(["verify", "--rank", "2", "--w", word], capsys)
+        _assert_bad_input(code, out, err)
+        assert f"bad generator '{word}'" in err
+
+
 def _assert_bad_input(code, out, err):
     assert code == 2
     assert out == ""
@@ -267,6 +282,14 @@ def test_scan_conjecture_single_instance(capsys):
                         "--m", "2"], capsys)
     assert code == 0
     assert "l-set=[3]" in out  # l = 2 fails, l = n works here
+
+
+def test_scan_conjecture_empty_w_is_the_identity(capsys):
+    code, out, _ = run(["scan-conjecture", "--rank", "2", "--w", "",
+                        "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert [(e["w"], e["m"]) for e in data["working"]] == [([1, 2], 1), ([1, 2], 2)]
 
 
 def test_scan_conjecture_rejects_latex_from_config(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 """The one fold that builds every DemazureCombo, against one-at-a-time sums.
 
-Each oracle below adds one RationalCoeff at a time through ``add_term``,
-reducing after every addition.  A reduced fraction is the unique form of its
-value, so every builder must give the oracle's combination exactly: equal,
-and with the same JSON.
+``DemazureCombo.folded`` builds every combination: the inverse-form
+right-hand sides, the key sides, the Chevalley expansions, ``expand_to_base``
+products, sums, differences and denominator clearing.  Each oracle below
+adds one RationalCoeff at a time through ``add_term``, reducing after every
+addition, and multiplies with ``Coeff.__mul__``.  A reduced fraction is the
+unique form of its value, so every builder must give the oracle's
+combination exactly: equal, and with the same JSON.
 """
 
 import random
@@ -149,48 +152,52 @@ def _random_coeff(rng, n):
 
 
 def _random_items(rng, n):
-    """Items over a few keys, some with a factor; some are divisible by
-    their atoms, and some cancel an earlier item from another bucket of the
-    same key."""
+    """(key, sorted atoms, numer) items over a few keys; some numerators are
+    divisible by their atoms, and some cancel an earlier item from another
+    bucket of the same key."""
     keys = [((tuple(range(1, n + 1)), zero_vec(n))),
             ((tuple(range(n, 0, -1)), zero_vec(n))),
             ((tuple(range(1, n + 1)), eps_vec(1, n)))]
     items = []
     for _ in range(rng.randint(1, 12)):
-        atoms = tuple(rng.sample(range(1, n + 1), rng.randint(0, min(2, n))))
+        atoms = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(2, n)))))
         numer = _random_coeff(rng, n)
         if atoms and rng.random() < 0.3:
             numer = numer * atom_coeff(n, atoms[0])
-        factor = _random_coeff(rng, n) if rng.random() < 0.5 else None
-        items.append((rng.choice(keys), atoms, numer, factor))
+        items.append((rng.choice(keys), atoms, numer))
         if rng.random() < 0.3:
-            key, atoms, numer, factor = rng.choice(items)
+            key, atoms, numer = rng.choice(items)
             free = [k for k in range(1, n + 1) if k not in atoms]
             if free:
                 k = rng.choice(free)
-                items.append((key, atoms + (k,), -(numer * atom_coeff(n, k)), factor))
+                items.append((key, tuple(sorted(atoms + (k,))),
+                              -(numer * atom_coeff(n, k))))
     return items
 
 
-def _product(numer, factor):
-    """An item's numerator times its factor, by ``Coeff.__mul__``."""
-    return numer if factor is None else numer * factor
+def _folded(n, items):
+    """``DemazureCombo.folded`` of the items, one entry per monomial."""
+    return DemazureCombo.folded(n, (((key, atoms), t, c) for key, atoms, numer in items
+                                    for t, c in numer.packed.items()))
 
 
 def test_summed_random_items_match_oracle():
+    """Random items summed by ``folded``, and ``+``, ``-`` and
+    ``clear_denominators`` of the results, against one-at-a-time sums."""
     rng = random.Random(6)
-    cancelled = products = 0
+    cancelled = divisible = 0
     for n in (2, 3):
         for _ in range(200):
             items = _random_items(rng, n)
             oracle = DemazureCombo(n)
-            for key, atoms, numer, factor in items:
-                oracle.add_term(key, RationalCoeff(_product(numer, factor), atoms))
-            folded = DemazureCombo.summed(n, items)
+            for key, atoms, numer in items:
+                oracle.add_term(key, RationalCoeff(numer, atoms))
+            folded = _folded(n, items)
             assert_same(folded, oracle)
             cancelled += len({item[0] for item in items} - set(folded.terms))
-            products += sum(item[3] is not None for item in items)
-            other = DemazureCombo.summed(n, _random_items(rng, n))
+            divisible += sum(any(divide_by_atom(numer, k) for k in atoms)
+                             for _, atoms, numer in items)
+            other = _folded(n, _random_items(rng, n))
             for op in ("__add__", "__sub__"):
                 want = DemazureCombo(n)
                 for key, rc in folded.terms.items():
@@ -205,11 +212,47 @@ def test_summed_random_items_match_oracle():
                     want.add_term(key, RationalCoeff(rc.over(lcm)))
                 assert_same(got, want)
     assert cancelled > 0  # some keys cancel to zero across buckets
-    assert products > 0
+    assert divisible > 0
+
+
+def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
+    """Products of random numerators, with atoms, and Chevalley numerators."""
+    rng = random.Random(7)
+    for qbg in (qbg2, qbg3):
+        n, cache = qbg.n, {}
+        shifts = [zero_vec(n)] + [eps_vec(t, n) for t in range(-n, n + 1) if t]
+        for _ in range(60):
+            combo = DemazureCombo(n)
+            for _ in range(rng.randint(1, 6)):
+                mu = rng.choice(shifts)
+                k, sign = _mu_index(mu) if any(mu) else (0, "+")
+                chev_atom = k if sign == "+" else k - 1
+                free = [a for a in range(1, n + 1) if a != chev_atom]
+                atoms = rng.sample(free, rng.randint(0, 1))
+                numer = _random_coeff(rng, n)
+                if atoms and rng.random() < 0.3:
+                    numer = numer * atom_coeff(n, atoms[0])
+                combo.add_term((rng.choice(qbg.group), mu), RationalCoeff(numer, atoms))
+            assert_same(expand_to_base(qbg, combo), expand_oracle(qbg, combo, cache))
+
+
+def _expand_with(monkeypatch, numer, factor, *passing):
+    """expand_to_base of numer V_{12}(lam + eps_1), plus each of ``passing``
+    times V_{21}(lam), with every Chevalley expansion replaced by
+    factor V_{12}(lam)."""
+    chev = DemazureCombo(2)
+    chev.add_term(((1, 2), zero_vec(2)), RationalCoeff(factor))
+    monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
+    combo = DemazureCombo(2)
+    combo.add_term(((1, 2), eps_vec(1, 2)), RationalCoeff(numer))
+    for rc in passing:
+        combo.add_term(((2, 1), zero_vec(2)), rc)
+    return expand_to_base(None, combo)
 
 
 @pytest.mark.parametrize("field", range(4))
-def test_summed_product_out_of_range_raises(field):
+def test_summed_product_out_of_range_raises(field, monkeypatch):
+    """A product that ``expand_to_base`` sums out of the packed range raises."""
     def mono(e):
         v = [0] * 4
         v[field] = e
@@ -220,17 +263,17 @@ def test_summed_product_out_of_range_raises(field):
     for numer, factor in ((top, one), (bottom, minus_one), (top, top),
                           (bottom, bottom), (one, top), (minus_one, bottom)):
         with pytest.raises(ValueError, match="packed range"):
-            DemazureCombo.summed(2, [(key, (), numer, factor)])
-        # the same item among in-range ones still raises
+            _expand_with(monkeypatch, numer, factor)
+        # the same product among in-range ones still raises
         with pytest.raises(ValueError, match="packed range"):
-            DemazureCombo.summed(2, [(key, (), one, one), (key, (), numer, factor),
-                                     (key, (1,), minus_one, None)])
+            _expand_with(monkeypatch, numer + one, factor,
+                         RationalCoeff(minus_one, (1,)))
     # the extremes themselves are reachable
     for numer, factor, want in ((top, minus_one, mono(EXP_MAX - 1)),
                                 (bottom, one, mono(EXP_MIN + 1)),
                                 (top, bottom, mono(-1))):
-        got = DemazureCombo.summed(2, [(key, (), numer, factor)])
-        assert got.terms[key] == RationalCoeff(want)
+        got = _expand_with(monkeypatch, numer, factor)
+        assert got.terms == {key: RationalCoeff(want)}
 
 
 @pytest.mark.parametrize("edge", [EXP_MIN, EXP_MAX])
@@ -270,16 +313,15 @@ def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
                             chevalley_oracle(qbg4, w, sign, k, cache))
 
 
-def test_repeated_atom_raises(qbg3):
+def test_repeated_atom_raises(qbg3, monkeypatch):
     one = monomial(3)
-    with pytest.raises(ValueError, match="repeated"):
-        DemazureCombo.summed(3, [(((1, 2, 3), zero_vec(3)), (1, 1), one, None)])
-    # a repeated atom raises even when its numerators cancel
     key = ((1, 2, 3), zero_vec(3))
-    for factor in (None, one):
-        with pytest.raises(ValueError, match="repeated"):
-            DemazureCombo.summed(3, [(key, (2, 2), one, factor),
-                                     (key, (2, 2), -one, factor)])
+    t = pack(3, (0, zero_vec(3), zero_vec(3)))
+    with pytest.raises(ValueError, match="repeated"):
+        DemazureCombo.folded(3, [((key, (1, 1)), t, 1)])
+    # a repeated atom raises even when its numerators cancel
+    with pytest.raises(ValueError, match="repeated"):
+        DemazureCombo.folded(3, [((key, (2, 2)), t, 1), ((key, (2, 2)), t, -1)])
     # an input atom that repeats the Chevalley atom: k for +eps_k, k-1 for -eps_k
     for mu, atom in ((eps_vec(2, 3), 2), (eps_vec(-3, 3), 2)):
         combo = DemazureCombo(3)
@@ -288,14 +330,23 @@ def test_repeated_atom_raises(qbg3):
             expand_to_base(qbg3, combo)
         with pytest.raises(ValueError):
             expand_oracle(qbg3, combo, {})
+    # ... even when the two products that repeat it cancel
+    chev = DemazureCombo(3)
+    chev.add_term(key, RationalCoeff(one, (2,)))
+    monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
+    combo = DemazureCombo(3)
+    combo.add_term(((1, 2, 3), eps_vec(2, 3)), RationalCoeff(one, (2,)))
+    combo.add_term(((2, 1, 3), eps_vec(2, 3)), RationalCoeff(-one, (2,)))
+    with pytest.raises(ValueError, match="repeated"):
+        expand_to_base(qbg3, combo)
 
 
 def test_normalized_absorbs_translation():
     sym = ((1, 2, 3), (0, 1, -1))
     term = (sym, zero_vec(3), pack(3, (0, zero_vec(3), zero_vec(3))), 1)
-    [item] = normalized([term])
-    key, packed, c = item
-    assert key == ((1, 2, 3), zero_vec(3)) and c == 1
+    [entry] = normalized([term])
+    (key, atoms), packed, c = entry
+    assert key == ((1, 2, 3), zero_vec(3)) and atoms == () and c == 1
     assert packed == translation_key(zero_vec(3), sym[1])
     assert Coeff.from_packed(3, {packed: c}) == monomial(3, x=(0, -1, 0))
     assert fold_terms(3, [term]).terms == {key: RationalCoeff(monomial(3, x=(0, -1, 0)))}

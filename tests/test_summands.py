@@ -4,16 +4,16 @@ A summand is (affine symbol, mu, packed q^k e^nu, count).  ``fold_terms``
 and ``cancellation_certificate`` read it through ``normalized``, which adds
 the translation's packed key to the summand's.  The oracles turn each
 summand into a one-term Coeff and multiply it by its ``normalize``
-translation: ``summed_oracle`` folds the products with the product loop of
-``DemazureCombo.summed``, and ``product_certificate`` compares their
-monomials by sign.
+translation with ``Coeff.__mul__``: ``summed_oracle`` adds the products one
+at a time through ``add_term``, and ``product_certificate`` compares their
+monomials by sign.  Neither goes through ``DemazureCombo.folded``.
 """
 
 import random
 
 import pytest
 
-from helpers import monomial, normalize, product_certificate, summed_oracle
+from helpers import add_symbol, monomial, product_certificate, summed_oracle
 from qalcove.expansions import (
     _block,
     fold_terms,
@@ -54,10 +54,10 @@ def check_streams(qbg, w, xi):
         got = cancellation_certificate(terms)
         assert got is product_certificate(terms), (w, xi)
         outcomes.add(got)
-    key, mult = normalize(x, zero_vec(n))
     for m in range(1, n + 1):
         for sign, mu in (("+", eps_vec(m, n)), ("-", eps_vec(-m, n))):
-            want = DemazureCombo.summed(n, [(key, (), monomial(n, nu=act(w, mu)), mult)])
+            want = DemazureCombo(n)
+            add_symbol(want, x, zero_vec(n), monomial(n, nu=act(w, mu)))
             assert_same(ic_lhs(qbg, x, m, sign), want)
     return outcomes
 

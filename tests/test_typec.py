@@ -151,3 +151,10 @@ def test_parse_and_render():
         parse_window("[1,1,2]")
     with pytest.raises(ValueError):
         parse_word("s4", 3)
+
+
+@pytest.mark.parametrize("token", ["s", "sx", "s1x", "t1", "s+1"])
+def test_parse_word_names_a_bad_generator(token):
+    with pytest.raises(ValueError) as err:
+        parse_word(f"s1 {token}", 3)
+    assert str(err.value) == f"bad generator '{token}'; expected e.g. 's1'"
