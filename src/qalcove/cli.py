@@ -90,7 +90,13 @@ def _parse_elt(text: str, n: int):
 def _parse_xi(text: str | None, n: int):
     if not text:
         return zero_vec(n)
-    xi = tuple(int(t) for t in text.replace(",", " ").split())
+    xi = []
+    for t in text.replace(",", " ").split():
+        try:
+            xi.append(int(t))
+        except ValueError:
+            raise ValueError(f"--xi coordinates must be integers, got {t!r}") from None
+    xi = tuple(xi)
     if len(xi) != n:
         raise ValueError(f"xi needs {n} coordinates, got {len(xi)}")
     if any(abs(c) > MAX_XI for c in xi):
@@ -305,7 +311,7 @@ def _cmd_expand(args) -> tuple[str, int]:
     x = (w, xi)
     if args.k is not None:
         sign = "-" if args.sign == "minus" else "+"
-        combo = chevalley_expand(qbg, w, sign, args.k)
+        combo = chevalley_expand(qbg, w, sign, args.k).combo()
     elif args.variant in (None, "first"):
         combo = ic_rhs_first(qbg, x, args.m)
     elif args.variant == "second":

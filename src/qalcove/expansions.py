@@ -1,9 +1,12 @@
 r"""Chevalley-type expansions of Demazure characters and their inverses.
 
-``chevalley_expand`` writes gch V_w(lam +- eps_k) as a rational-coefficient
-combination of the gch V_y(lam).  The ``ic_*`` builders produce right-hand
-sides for the inverse problem, expanding e^{+-w(eps_m)} gch V_{w t_xi}(lam)
-back into characters at the shifted weights lam +- eps_j:
+``chevalley_expand`` writes gch V_w(lam +- eps_k) in terms of the gch V_y(lam)
+as a ``ChevalleyExpansion``: one shared atom tuple and flat (end, packed
+monomial, count) entries, with no rational coefficient.  Its ``combo`` is
+the rational combination, built only to show or compare it.  The ``ic_*``
+builders produce right-hand sides for the inverse problem, expanding
+e^{+-w(eps_m)} gch V_{w t_xi}(lam) back into characters at the shifted
+weights lam +- eps_j:
 
 * ``ic_rhs_first`` / ``ic_rhs_second``  -- alternating sums over decreasing
   letter sequences and chained filtered admissible subsets, evaluated per
@@ -14,21 +17,22 @@ back into characters at the shifted weights lam +- eps_j:
   unbarred block stops at letter ``l``; ``conj_second_blocks`` returns
   its blocks one list each, so a scan over l can add one block per step.
 
-Everything returns a ``DemazureCombo`` keyed by (window, weight shift); the
-``*_terms`` generators stream the individual summands before any
-cancellation occurs.  A summand (affine symbol, mu, key, c) stands for
-c q^k e^nu gch V_{y t_xi}(lam + mu), where (y, xi) is the symbol and the
-packed monomial ``key`` holds q^k e^nu with no x-part, as the paper
-displays it.  Every summand comes from ``_block``: one per admissible
-subset of the gamma or theta chain of a target letter, all sharing the
-block's monomial.  ``normalized`` absorbs each translation into the key,
-and the ring's ``DemazureCombo.folded`` sums the results per symbol.
+The ``ic_*`` builders and ``expand_to_base`` return a ``DemazureCombo``
+keyed by (window, weight shift); the ``*_terms`` generators stream the
+individual summands before any cancellation occurs.  A summand (affine
+symbol, mu, key, c) stands for c q^k e^nu gch V_{y t_xi}(lam + mu), where
+(y, xi) is the symbol and the packed monomial ``key`` holds q^k e^nu with
+no x-part, as the paper displays it.  Every summand comes from
+``_block``: one per admissible subset of the gamma or theta chain of a
+target letter, all sharing the block's monomial.  ``normalized`` absorbs
+each translation into the key, and the ring's ``DemazureCombo.folded``
+sums the results per symbol.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .alcove import admissible_subsets, filtered_A, make_chain
 from .qbg import QBG
@@ -85,9 +89,36 @@ def enumerate_S(src: int, dst: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
+class ChevalleyExpansion(NamedTuple):
+    """gch V_w(lam +- eps_k) as flat entries over one shared denominator.
+
+    Entry i stands for counts[i] q^k x^a e^nu / prod(atoms) gch V_{ends[i]}(lam),
+    where keys[i] is the packed monomial q^k x^a e^nu.  Each (end, key)
+    occurs once and no count is zero.  The record holds only tuples and
+    ints, so it is what ``chevalley_expand`` caches; ``combo`` is the one
+    place it becomes a rational combination.
+    """
+
+    n: int
+    atoms: tuple[int, ...]
+    ends: tuple[Window, ...]
+    keys: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def combo(self) -> DemazureCombo:
+        """The reduced combination, for display and comparison."""
+        zero = zero_vec(self.n)
+        return DemazureCombo.folded(self.n, (
+            (((end, zero), self.atoms), key, c)
+            for end, key, c in zip(self.ends, self.keys, self.counts)))
+
+    def to_json(self):
+        return self.combo().to_json()
+
+
+def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansion:
     """gch V_w(lam + eps_k) (sign '+') or gch V_w(lam - eps_k) (sign '-')
-    as a combination of the gch V_y(lam).
+    in terms of the gch V_y(lam), as a cached ``ChevalleyExpansion``.
 
     Over the reduced chain for mu = +-eps_k,
 
@@ -118,12 +149,13 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     return cache[key]
 
 
-def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
-    """The sum of ``chevalley_expand`` for mu = eps_t, folded on packed keys.
+def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
+    """The sum of ``chevalley_expand`` for mu = eps_t, counted per (end, key).
 
     The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
     q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
     monomial x^{-down(B)} of B, added as one sum of packed keys.
+    ValueError if a key left the packed range.
     """
     n = qbg.n
     mu, zero = eps_vec(t, n), zero_vec(n)
@@ -131,17 +163,20 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> DemazureCombo:
     head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
     tail = _block_chain(-t, n)
     atom = t if t > 0 else -t - 1
-    atoms = (atom,) if atom else ()
-
-    def entries():
-        for A1 in admissible_subsets(qbg, w, head):
-            off = (translation_key(mu, A1.down)
-                   + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
-            for B in admissible_subsets(qbg, A1.end, tail):
-                p = off + translation_key(zero, B.down)  # see packed_words
-                yield ((B.end, zero), atoms), p, _sign(len(B.positions))
-
-    return DemazureCombo.folded(n, entries())
+    acc: dict[tuple[Window, int], int] = {}
+    seen = 0
+    for A1 in admissible_subsets(qbg, w, head):
+        off = (translation_key(mu, A1.down)
+               + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
+        for B in admissible_subsets(qbg, A1.end, tail):
+            p = off + translation_key(zero, B.down)  # see packed_words
+            seen |= p
+            entry = (B.end, p)
+            acc[entry] = acc.get(entry, 0) + _sign(len(B.positions))
+    check_packed(n, seen)
+    kept = [(end, p, c) for (end, p), c in acc.items() if c]
+    ends, keys, counts = zip(*kept) if kept else ((), (), ())
+    return ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -156,10 +191,12 @@ def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
     """Rewrite every V_y(lam +- eps_k) symbol through ``chevalley_expand``.
 
     Symbols already at the base weight (shift 0) pass through unchanged,
-    so the result involves the gch V_y(lam) only.  Each product of two
-    monomials is one ``folded`` entry, whose key is one packed addition.
+    so the result involves the gch V_y(lam) only.  Each product of a
+    monomial of the symbol and an entry of its expansion is one ``folded``
+    entry, whose key is one packed addition.
     """
     bias = packed_words(combo.n)[0]
+    zero = zero_vec(combo.n)
 
     def entries():
         for (y, mu), rc in combo.terms.items():
@@ -169,11 +206,12 @@ def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
                     yield ((y, mu), rc.atoms), k1, c1
                 continue
             k, sign = _mu_index(mu)
-            for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
-                sym = (key2, tuple(sorted(rc2.atoms + rc.atoms)))
-                for k2, c2 in rc2.numer.packed.items():
-                    for k1, c1 in numer:
-                        yield sym, k1 + k2 - bias, c1 * c2  # see packed_words
+            chev = chevalley_expand(qbg, y, sign, k)
+            atoms = tuple(sorted(chev.atoms + rc.atoms))
+            for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
+                sym = ((end, zero), atoms)
+                for k1, c1 in numer:
+                    yield sym, k1 + k2 - bias, c1 * c2  # see packed_words
 
     return DemazureCombo.folded(combo.n, entries())
 

@@ -87,7 +87,8 @@ class QBG:
         self._edges_from: dict[Window, list[tuple[Vec, str, Window]]] = {}
         # memo tables of the alcove and expansions layers, keyed by element
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
-        self._chev_cache: dict = {}      # (w, sign, k) -> chevalley_expand
+        self._chev_cache: dict = {}      # (w, sign, k) -> ChevalleyExpansion,
+                                         # flat tuples of ints, no Coeff
         self._chained_sums: dict = {}    # (w, src, dst) -> chained_sum
 
     # -- edges ---------------------------------------------------------

@@ -370,6 +370,17 @@ def test_expand_rejects_xi_on_direct_form(capsys):
     assert "--xi" in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["verify", "--rank", "2", "--xi", "a,b"], "'a'"),
+    (["expand", "--rank", "2", "--m", "1", "--xi", "1.5,0"], "'1.5'"),
+])
+def test_non_integer_xi_is_exit_2(argv, token, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(argv, capsys)
+    _assert_bad_input(code, out, err)
+    assert f"--xi coordinates must be integers, got {token}" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--k", "1", "--m", "2"], "--m"),
     (["--m", "1", "--variant", "first", "--l", "2"], "--l"),

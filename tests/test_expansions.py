@@ -95,7 +95,7 @@ def test_chevalley_empty_subset_term(qbg3):
     # e^{w eps_k} over the single atom.
     w = parse_word("s2 s1", 3)
     for k in (1, 2, 3):
-        combo = chevalley_expand(qbg3, w, "+", k)
+        combo = chevalley_expand(qbg3, w, "+", k).combo()
         rc = combo.terms[(w, zero_vec(3))]
         want = RationalCoeff(
             monomial(3, 1, nu=act(w, eps_vec(k, 3))), (k,))
@@ -104,12 +104,15 @@ def test_chevalley_empty_subset_term(qbg3):
 
 def test_chevalley_minus_atom_indices(qbg3):
     w = parse_word("s1 s3", 3)
-    for rc in chevalley_expand(qbg3, w, "-", 1).terms.values():
+    assert chevalley_expand(qbg3, w, "-", 1).atoms == ()
+    for rc in chevalley_expand(qbg3, w, "-", 1).combo().terms.values():
         assert rc.atoms == ()
     for k in (2, 3):
-        for rc in chevalley_expand(qbg3, w, "-", k).terms.values():
+        assert chevalley_expand(qbg3, w, "-", k).atoms == (k - 1,)
+        assert chevalley_expand(qbg3, w, "+", k).atoms == (k,)
+        for rc in chevalley_expand(qbg3, w, "-", k).combo().terms.values():
             assert set(rc.atoms) <= {k - 1}
-        for rc in chevalley_expand(qbg3, w, "+", k).terms.values():
+        for rc in chevalley_expand(qbg3, w, "+", k).combo().terms.values():
             assert set(rc.atoms) <= {k}
 
 
@@ -130,7 +133,7 @@ def test_plus_then_minus_roundtrip(qbg3):
               (1, 2, 3), (-3, 1, -2)]:
         for k in (1, 2, 3):
             shift = vec_neg(eps_vec(k, n))
-            plus = chevalley_expand(qbg3, w, "+", k)
+            plus = chevalley_expand(qbg3, w, "+", k).combo()
             atom = RationalCoeff(atom_coeff(n, k))
             rhs = DemazureCombo(n)
             for (y, mu), rc in plus.terms.items():
@@ -138,7 +141,7 @@ def test_plus_then_minus_roundtrip(qbg3):
                 cleared = rc * atom
                 assert cleared.atoms == ()
                 poly = shift_lambda(cleared.numer, shift)
-                for key, rc2 in chevalley_expand(qbg3, y, "-", k).terms.items():
+                for key, rc2 in chevalley_expand(qbg3, y, "-", k).combo().terms.items():
                     rhs.add_term(key, rc2 * poly)
             lhs = DemazureCombo(n)
             add_symbol(lhs, (w, zero_vec(n)), zero_vec(n),

@@ -1,8 +1,9 @@
 """The one fold that builds every DemazureCombo, against one-at-a-time sums.
 
 ``DemazureCombo.folded`` builds every combination: the inverse-form
-right-hand sides, the key sides, the Chevalley expansions, ``expand_to_base``
-products, sums, differences and denominator clearing.  Each oracle below
+right-hand sides, the key sides, the Chevalley expansions (a cached
+``ChevalleyExpansion`` through its ``combo``), ``expand_to_base`` products,
+sums, differences and denominator clearing.  Each oracle below
 adds one RationalCoeff at a time through ``add_term``, reducing after every
 addition, and multiplies with ``Coeff.__mul__``.  A reduced fraction is the
 unique form of its value, so every builder must give the oracle's
@@ -17,6 +18,7 @@ from helpers import add_symbol, coeff_terms, monomial, oracle_subsets
 from qalcove import expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
+    ChevalleyExpansion,
     _block,
     _inverse_terms,
     _mu_index,
@@ -97,6 +99,22 @@ def assert_same(a, b):
     assert a.to_json() == b.to_json()
 
 
+def assert_record(record, oracle):
+    """The record's combination is the oracle's; its entries are distinct
+    (end, key) pairs with nonzero counts."""
+    assert_same(record.combo(), oracle)
+    assert record.to_json() == oracle.to_json()
+    assert len(record.ends) == len(record.keys) == len(record.counts)
+    assert all(record.counts)
+    assert len(set(zip(record.ends, record.keys))) == len(record.keys)
+
+
+def record_of(n, end, factor, atoms=()):
+    """factor / prod(atoms) * V_end(lam) as a record, one entry per monomial."""
+    return ChevalleyExpansion(n, atoms, (end,) * len(factor.packed),
+                              tuple(factor.packed), tuple(factor.packed.values()))
+
+
 def check_element(qbg, w, xi, cache):
     """Every inverse-form RHS and key side of w, folded and expanded."""
     n = qbg.n
@@ -126,8 +144,8 @@ def test_chevalley_expand_matches_oracle(qbg2, qbg3):
         for w in qbg.group:
             for k in range(1, qbg.n + 1):
                 for sign in "+-":
-                    assert_same(chevalley_expand(qbg, w, sign, k),
-                                chevalley_oracle(qbg, w, sign, k, cache))
+                    assert_record(chevalley_expand(qbg, w, sign, k),
+                                  chevalley_oracle(qbg, w, sign, k, cache))
 
 
 @pytest.mark.parametrize("xi", [None, "shifted"])
@@ -240,8 +258,7 @@ def _expand_with(monkeypatch, numer, factor, *passing):
     """expand_to_base of numer V_{12}(lam + eps_1), plus each of ``passing``
     times V_{21}(lam), with every Chevalley expansion replaced by
     factor V_{12}(lam)."""
-    chev = DemazureCombo(2)
-    chev.add_term(((1, 2), zero_vec(2)), RationalCoeff(factor))
+    chev = record_of(2, (1, 2), factor)
     monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
     combo = DemazureCombo(2)
     combo.add_term(((1, 2), eps_vec(1, 2)), RationalCoeff(numer))
@@ -309,8 +326,8 @@ def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
     for w in random.Random(41).sample(qbg4.group, 24):
         for k in range(1, 5):
             for sign in "+-":
-                assert_same(chevalley_expand(qbg4, w, sign, k),
-                            chevalley_oracle(qbg4, w, sign, k, cache))
+                assert_record(chevalley_expand(qbg4, w, sign, k),
+                              chevalley_oracle(qbg4, w, sign, k, cache))
 
 
 def test_repeated_atom_raises(qbg3, monkeypatch):
@@ -331,8 +348,7 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
         with pytest.raises(ValueError):
             expand_oracle(qbg3, combo, {})
     # ... even when the two products that repeat it cancel
-    chev = DemazureCombo(3)
-    chev.add_term(key, RationalCoeff(one, (2,)))
+    chev = record_of(3, key[0], one, (2,))
     monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
     combo = DemazureCombo(3)
     combo.add_term(((1, 2, 3), eps_vec(2, 3)), RationalCoeff(one, (2,)))
