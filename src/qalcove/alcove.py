@@ -41,7 +41,7 @@ from .typec import (
     Window,
     coroot,
     eps_vec,
-    inv,
+    image,
     is_positive_root,
     letter_pos,
     mul,
@@ -230,8 +230,9 @@ def _step(lengths: dict[Window, int], move: _Move, state: _State) -> _State | No
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
     """All w-admissible subsets of the chain, with endpoint and down.
 
-    Depth-first over positions, pruning on edge existence; results are
-    memoized on (w, chain) inside the QBG instance.
+    A preorder walk emits each subset, then extends it by every later
+    position with an edge: one visit per subset, in position order with no
+    sort.  Results are memoized on (w, chain) inside the QBG instance.
     """
     cache = qbg._adm_cache
     key = (w, chain)
@@ -244,25 +245,24 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     size = len(moves)
     out: list[AdmissibleSubset] = []
 
-    def rec(i, taken, state):
-        if i == size:
-            out.append(AdmissibleSubset(tuple(taken), *state))
-            return
-        rec(i + 1, taken, state)
-        nxt = _step(lengths, moves[i], state)
-        if nxt is not None:
-            taken.append(i + 1)
-            rec(i + 1, taken, nxt)
-            taken.pop()
+    def rec(start, positions, state):
+        out.append(AdmissibleSubset(positions, *state))
+        for i in range(start, size):
+            nxt = _step(lengths, moves[i], state)
+            if nxt is not None:
+                rec(i + 1, positions + (i + 1,), nxt)
 
-    rec(0, [], (w, zero_vec(chain.n)))
-    out.sort(key=lambda s: s.positions)
+    rec(0, (), (w, zero_vec(chain.n)))
     cache[key] = out
     return out
 
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:
-    """Endpoint and down of one subset, verifying admissibility along the way."""
+    """Endpoint and down of one subset, given by strictly increasing
+    positions, verifying admissibility along the way."""
+    positions = tuple(positions)
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"positions {positions} do not strictly increase")
     moves = chain_moves(chain)
     state = (w, zero_vec(chain.n))
     for p in positions:
@@ -271,7 +271,7 @@ def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> Admissible
         state = _step(qbg.length, moves[p - 1], state)
         if state is None:
             raise ValueError(f"positions {positions} not admissible from {w}")
-    return AdmissibleSubset(tuple(positions), *state)
+    return AdmissibleSubset(positions, *state)
 
 
 def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset]:
@@ -281,6 +281,8 @@ def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset
     (requires 1 <= dst < k).  src = -k < 0 ("k bar"): subsets of
     Gamma_k(k) with ed(A)^{-1} w (-eps_k) = eps_dst, dst any letter below
     -k in the total order; eps of a barred letter -m means -eps_m.
+    Applying ed(A) to both sides, a subset is kept when w eps_src =
+    ed(A) eps_dst, so no window is inverted or multiplied.
     """
     n = qbg.n
     if src > 0:
@@ -291,12 +293,6 @@ def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset
         if not letter_pos(dst, n) < letter_pos(src, n):
             raise ValueError(f"need dst < src in the letter order, got {src=} {dst=}")
         chain = make_chain("gamma", -src, n)
-    out = []
-    for A in admissible_subsets(qbg, w, chain):
-        if not A.positions:
-            continue
-        u = mul(inv(A.end), w)
-        # u(eps_src) = eps_dst, reading eps of a barred letter as its negative
-        if (u[src - 1] if src > 0 else -u[-src - 1]) == dst:
-            out.append(A)
-    return out
+    target = image(w, src)
+    return [A for A in admissible_subsets(qbg, w, chain)
+            if A.positions and image(A.end, dst) == target]

@@ -301,9 +301,6 @@ class RationalCoeff:
         # divisible by none of its atoms, so the reduced form is unique
         return self.atoms == other.atoms and self.numer == other.numer
 
-    def __hash__(self):
-        raise TypeError("RationalCoeff is unhashable")
-
     def is_zero(self) -> bool:
         return self.numer.is_zero()
 
@@ -383,9 +380,6 @@ class DemazureCombo:
         if not isinstance(other, DemazureCombo):
             return NotImplemented
         return self.terms == other.terms  # add_term never stores a zero
-
-    def __hash__(self):
-        raise TypeError("DemazureCombo is unhashable")
 
     def is_zero(self) -> bool:
         return not self.terms

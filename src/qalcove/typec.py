@@ -183,6 +183,11 @@ def act(w: Window, v: Vec) -> Vec:
     return tuple(out)
 
 
+def image(w: Window, a: int) -> int:
+    """The signed letter w(a): w(eps_a) = eps_{w(a)}, eps_{-a} meaning -eps_a."""
+    return w[a - 1] if a > 0 else -w[-a - 1]
+
+
 def mul(u: Window, v: Window) -> Window:
     """(uv)(i) = u(v(i))."""
     return tuple(u[vi - 1] if vi > 0 else -u[-vi - 1] for vi in v)
@@ -284,7 +289,10 @@ def word_str(word: list[int]) -> str:
 
 def parse_window(text: str) -> Window:
     body = text.strip().strip("[]")
-    w = tuple(int(t) for t in body.replace(",", " ").split())
+    try:
+        w = tuple(int(t) for t in body.replace(",", " ").split())
+    except ValueError:
+        w = (0,)  # a non-integer entry fails the check below
     if sorted(abs(a) for a in w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a signed permutation window: {text}")
     return w

@@ -11,6 +11,8 @@ from qalcove.ring import Coeff, DemazureCombo, RationalCoeff, pack, translation_
 from qalcove.typec import (
     act,
     coroot,
+    image,
+    inv,
     is_positive_root,
     letter_from_pos,
     letter_pos,
@@ -227,6 +229,18 @@ def oracle_subsets(qbg, w, chain):
     return sorted(out)
 
 
+def oracle_filtered(qbg, w, src, dst):
+    """(positions, end, down) of the nonempty subsets that ``filtered_A``
+    keeps, by its old condition: ed(A)^{-1} w maps the letter src to dst."""
+    chain = make_chain("theta", src, qbg.n) if src > 0 else make_chain("gamma", -src, qbg.n)
+    out = []
+    for positions, end, down, *_ in oracle_subsets(qbg, w, chain):
+        u = mul(inv(end), w)
+        if positions and (u[src - 1] if src > 0 else -u[-src - 1]) == dst:
+            out.append((positions, end, down))
+    return out
+
+
 # --- oracles with no caller in the library ----------------------------------
 
 def simple_coroot(i, n):
@@ -242,11 +256,6 @@ def coroot_from_alpha_coords(c):
     return tuple(out)
 
 
-def w_apply(w, a):
-    """Image of the letter a (signed index) under w."""
-    return w[a - 1] if a > 0 else -w[-a - 1]
-
-
 def criterion_edge(qbg, w, alpha):
     """Window-pattern edge test, independent of any length computation.
 
@@ -258,29 +267,29 @@ def criterion_edge(qbg, w, alpha):
     """
     n = qbg.n
     i, j = root_letters(alpha)
-    wk = w_apply(w, i)
+    wk = image(w, i)
     if j > 0:  # (k,l) with k<l<=n
-        wl = w_apply(w, j)
+        wl = image(w, j)
         return not any(
-            _cyc_between(n, wk, w_apply(w, p), wl)
+            _cyc_between(n, wk, image(w, p), wl)
             for p in range(i + 1, j)
         )
     if j == -i:  # (k, kbar)
         wl = -wk
         return not any(
-            _cyc_between(n, wk, w_apply(w, letter_from_pos(p, n)), wl)
+            _cyc_between(n, wk, image(w, letter_from_pos(p, n)), wl)
             for p in range(i + 1, 2 * n - i + 1)
         )
     # (k, lbar) with k < l <= n
     l = -j
-    wl = -w_apply(w, l)
+    wl = -image(w, l)
     if not letter_pos(wk, n) < letter_pos(wl, n):
         return False
     if (wk > 0) != (wl > 0):
         return False
     lo, hi = letter_pos(wk, n), letter_pos(wl, n)
     for p in range(i + 1, 2 * n - l + 1):
-        wp = letter_pos(w_apply(w, letter_from_pos(p, n)), n)
+        wp = letter_pos(image(w, letter_from_pos(p, n)), n)
         if lo < wp < hi:
             return False
     return True

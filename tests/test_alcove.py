@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import oracle_subsets, w_apply
+from helpers import oracle_filtered, oracle_subsets
 from qalcove.alcove import (
     CHAIN_KINDS,
     RootChain,
@@ -15,7 +15,17 @@ from qalcove.alcove import (
     reducedness_check,
     subset_stats,
 )
-from qalcove.typec import act, eps_vec, pair, vec_add, vec_neg
+from qalcove.qbg import QBG
+from qalcove.typec import (
+    act,
+    eps_vec,
+    image,
+    letter_from_pos,
+    letter_pos,
+    pair,
+    vec_add,
+    vec_neg,
+)
 
 
 def test_make_chain_frozen():
@@ -186,11 +196,32 @@ def test_filtered_A_endpoint_condition(qbg3):
         for src, dst in ((3, 1), (3, 2), (2, 1), (-2, 2), (-2, -3), (-1, 1)):
             for A in filtered_A(qbg3, w, src, dst):
                 assert A.positions
-                u = mul(inv(A.end), w)
-                if src > 0:
-                    assert w_apply(u, src) == dst
-                else:
-                    assert -w_apply(u, -src) == dst
+                assert image(mul(inv(A.end), w), src) == dst
+
+
+def _valid_filters(n):
+    """Every (src, dst) that ``filtered_A`` accepts at rank n."""
+    letters = [letter_from_pos(p, n) for p in range(1, 2 * n + 1)]
+    for k in range(1, n + 1):
+        yield from ((k, dst) for dst in range(1, k))
+        yield from ((-k, dst) for dst in letters[:letter_pos(-k, n) - 1])
+
+
+def _assert_filters_agree(qbg, elements):
+    for w in elements:
+        for src, dst in _valid_filters(qbg.n):
+            got = [tuple(A) for A in filtered_A(qbg, w, src, dst)]
+            assert got == oracle_filtered(qbg, w, src, dst), (w, src, dst)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_filtered_A_matches_inverse_oracle_exhaustively(n):
+    qbg = QBG(n)
+    _assert_filters_agree(qbg, qbg.group)
+
+
+def test_filtered_A_matches_inverse_oracle_on_rank4_sample(qbg4):
+    _assert_filters_agree(qbg4, random.Random(16).sample(qbg4.group, 48))
 
 
 def _split_walk(qbg, w, t):

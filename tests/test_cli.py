@@ -381,6 +381,16 @@ def test_non_integer_xi_is_exit_2(argv, token, monkeypatch, capsys):
     assert f"--xi coordinates must be integers, got {token}" in err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["verify"], ["expand", "--m", "1"], ["scan-conjecture"],
+])
+def test_non_integer_window_entry_is_exit_2(cmd, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "QBG", _no_qbg)
+    code, out, err = run(cmd + ["--rank", "2", "--w", "[a,1]"], capsys)
+    _assert_bad_input(code, out, err)
+    assert "not a signed permutation window: [a,1]" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--k", "1", "--m", "2"], "--m"),
     (["--m", "1", "--variant", "first", "--l", "2"], "--l"),

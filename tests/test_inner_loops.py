@@ -65,6 +65,12 @@ def test_subset_stats_rejects_positions_outside_the_chain(qbg3, positions):
         subset_stats(qbg3, (1, 2, 3), make_chain("theta", 3, 3), positions)
 
 
+@pytest.mark.parametrize("positions", [(5, 5), (5, 4)])
+def test_subset_stats_rejects_positions_that_do_not_increase(qbg3, positions):
+    with pytest.raises(ValueError, match="strictly increase"):
+        subset_stats(qbg3, (1, 2, 3), make_chain("gamma", 1, 3), positions)
+
+
 # -- packed monomials ----------------------------------------------------------
 
 

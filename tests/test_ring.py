@@ -131,9 +131,12 @@ def test_repeated_atom_is_rejected():
         a * ab
 
 
-def test_rational_unhashable():
+@pytest.mark.parametrize("make", [lambda: RationalCoeff(monomial(2)),
+                                  lambda: DemazureCombo(2)],
+                         ids=["RationalCoeff", "DemazureCombo"])
+def test_rational_unhashable(make):
     with pytest.raises(TypeError):
-        hash(RationalCoeff(monomial(2)))
+        hash(make())
 
 
 def test_normalize_frozen():

@@ -2,13 +2,14 @@
 
 import pytest
 
-from helpers import coroot_from_alpha_coords, w_apply
+from helpers import coroot_from_alpha_coords
 from qalcove.typec import (
     act,
     alpha_coords,
     coroot,
     eps_vec,
     identity_w,
+    image,
     inv,
     is_positive_root,
     length,
@@ -83,8 +84,15 @@ def test_window_action():
     assert act(w, eps_vec(3, 3)) == eps_vec(1, 3)
     assert act(w, (1, 2, 3)) == (3, 2, 1)
     assert act((-1, -2, -3), (1, 2, 3)) == (-1, -2, -3)
-    assert w_apply((3, -2, 1), 2) == -2
-    assert w_apply((3, -2, 1), -2) == 2
+    assert image((3, -2, 1), 2) == -2
+    assert image((3, -2, 1), -2) == 2
+
+
+def test_image_is_the_action_on_eps_exhaustively_at_rank3():
+    # eps of a barred letter -a is -eps_a
+    for w in weyl_group(3):
+        for a in (1, 2, 3, -3, -2, -1):
+            assert eps_vec(image(w, a), 3) == act(w, eps_vec(a, 3)), (w, a)
 
 
 def test_mul_inv_words():
