@@ -17,16 +17,20 @@ weights lam +- eps_j:
   unbarred block stops at letter ``l``; ``conj_second_blocks`` returns
   its blocks one list each, so a scan over l can add one block per step.
 
-The ``ic_*`` builders and ``expand_to_base`` return a ``DemazureCombo``
-keyed by (window, weight shift); the ``*_terms`` generators stream the
-individual summands before any cancellation occurs.  A summand (affine
+``ic_lhs`` and the ``ic_rhs_*`` builders return a ``DemazureCombo`` keyed
+by (window, weight shift), for display; the ``*_terms`` and ``*_summed``
+generators stream the individual summands before any cancellation occurs,
+and ``ic_lhs_term`` is the one summand of ``ic_lhs``.  A summand (affine
 symbol, mu, key, c) stands for c q^k e^nu gch V_{y t_xi}(lam + mu), where
 (y, xi) is the symbol and the packed monomial ``key`` holds q^k e^nu with
 no x-part, as the paper displays it.  Every summand comes from
 ``_block``: one per admissible subset of the gamma or theta chain of a
 target letter, all sharing the block's monomial.  ``normalized`` absorbs
-each translation into the key, and the ring's ``DemazureCombo.folded``
-sums the results per symbol.
+each translation into the key, and the ring's ``fold_into`` sums the
+results per symbol in integer buckets.  ``expand_to_base`` adds them to
+such buckets at the base weight, still in integers, which is how
+``verify`` decides an identity; ``DemazureCombo.folded`` reduces buckets
+only for a combination that is shown.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .alcove import admissible_subsets, filtered_A, make_chain
 from .qbg import QBG
 from .ring import (
+    Buckets,
     DemazureCombo,
     check_packed,
     pack,
@@ -187,44 +192,59 @@ def _mu_index(mu: Vec) -> tuple[int, str]:
     return i, "+" if c == 1 else "-"
 
 
-def expand_to_base(qbg: QBG, combo: DemazureCombo) -> DemazureCombo:
-    """Rewrite every V_y(lam +- eps_k) symbol through ``chevalley_expand``.
+def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
+    """Add sign times the ``normalized`` entries ((y, mu), sorted atoms),
+    packed monomial, count) to the integer buckets ``acc`` (see
+    ``ring.fold_into``), read at the base weight; returns acc.
 
-    Symbols already at the base weight (shift 0) pass through unchanged,
-    so the result involves the gch V_y(lam) only.  Each product of a
-    monomial of the symbol and an entry of its expansion is one ``folded``
-    entry, whose key is one packed addition.
+    An entry already at the base weight (shift 0) is added as it is.  A
+    V_y(lam +- eps_k) is rewritten through ``chevalley_expand`` in the same
+    loop: each entry of the expansion costs one packed addition and one
+    integer product, added to the bucket of the entry's end over both atom
+    tuples.  ValueError if a product left the packed range.
     """
-    bias = packed_words(combo.n)[0]
-    zero = zero_vec(combo.n)
+    n = qbg.n
+    bias = packed_words(n)[0]
+    zero = zero_vec(n)
+    seen = 0
+    for (sym, atoms), k1, c1 in entries:
+        y, mu = sym
+        c1 *= sign
+        if not any(mu):
+            out = acc.get((sym, atoms))
+            if out is None:
+                out = acc[(sym, atoms)] = {}
+            out[k1] = out.get(k1, 0) + c1
+            continue
+        k, s = _mu_index(mu)
+        chev = chevalley_expand(qbg, y, s, k)
+        both = tuple(sorted(chev.atoms + atoms))
+        k1 -= bias  # see packed_words
+        for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
+            key = k1 + k2
+            seen |= key
+            out = acc.get(((end, zero), both))
+            if out is None:
+                out = acc[((end, zero), both)] = {}
+            out[key] = out.get(key, 0) + c1 * c2
+    check_packed(n, seen)
+    return acc
 
-    def entries():
-        for (y, mu), rc in combo.terms.items():
-            numer = rc.numer.packed.items()
-            if not any(mu):
-                for k1, c1 in numer:
-                    yield ((y, mu), rc.atoms), k1, c1
-                continue
-            k, sign = _mu_index(mu)
-            chev = chevalley_expand(qbg, y, sign, k)
-            atoms = tuple(sorted(chev.atoms + rc.atoms))
-            for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
-                sym = ((end, zero), atoms)
-                for k1, c1 in numer:
-                    yield sym, k1 + k2 - bias, c1 * c2  # see packed_words
 
-    return DemazureCombo.folded(combo.n, entries())
-
-
-def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
-    """The one-term combination e^{+-w(eps_m)} gch V_{w t_xi}(lam)."""
+def ic_lhs_term(qbg: QBG, x: AffinePair, m: int, sign: str) -> Term:
+    """The one summand e^{+-w(eps_m)} gch V_{w t_xi}(lam)."""
     n = qbg.n
     _check_m(n, m)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     zero = zero_vec(n)
     nu = act(x[0], eps_vec(m if sign == "+" else -m, n))
-    return DemazureCombo.folded(n, normalized([(x, zero, pack(n, (0, zero, nu)), 1)]))
+    return x, zero, pack(n, (0, zero, nu)), 1
+
+
+def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
+    """The one-term combination of ``ic_lhs_term``."""
+    return DemazureCombo.folded(qbg.n, normalized([ic_lhs_term(qbg, x, m, sign)]))
 
 
 def chained_filtered(qbg: QBG, w: Window, src: int,
@@ -424,17 +444,29 @@ def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
     return DemazureCombo.folded(n, normalized(terms))
 
 
-def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:
-    """fold_terms(ic_first_terms), with the sequence sums from ``chained_sum``."""
+def ic_first_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+    """The summands of ``ic_first_terms`` with the sequence sums from
+    ``chained_sum``: one block per entry, scaled by its count."""
     _check_m(qbg.n, m)
-    return fold_terms(qbg.n, _inverse_terms(qbg, x, m, range(1, m), _summed))
+    return _inverse_terms(qbg, x, m, range(1, m), _summed)
+
+
+def ic_second_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+    """The summands of ``ic_second_terms`` with the sequence sums from
+    ``chained_sum``: one block per entry, scaled by its count."""
+    n = qbg.n
+    _check_m(n, m)
+    return _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed)
+
+
+def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:
+    """fold_terms(ic_first_summed)."""
+    return fold_terms(qbg.n, ic_first_summed(qbg, x, m))
 
 
 def ic_rhs_second(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:
-    """fold_terms(ic_second_terms), with the sequence sums from ``chained_sum``."""
-    n = qbg.n
-    _check_m(n, m)
-    return fold_terms(n, _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))
+    """fold_terms(ic_second_summed)."""
+    return fold_terms(qbg.n, ic_second_summed(qbg, x, m))
 
 
 def ic_rhs_cancel_free_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

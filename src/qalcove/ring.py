@@ -28,10 +28,16 @@ A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients.  A
 translation V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu)
 is one packed monomial, ``translation_key``, which the summand folds of
-``expansions`` add to a summand's key.  Every combination is built by
-``DemazureCombo.folded`` from ((symbol, atoms), packed monomial, count)
-entries: the counts that share a symbol and a denominator are added in one
-integer bucket, and each bucket is reduced once.
+``expansions`` add to a summand's key.
+
+Sums are kept as integer buckets {(symbol, sorted atoms): {packed monomial:
+count}}: ``fold_into`` adds summands into them, and
+``expansions.expand_to_base`` adds the products of a Chevalley expansion.  An
+identity is decided on such buckets by ``cancels``, with no rational
+arithmetic: the buckets of a symbol are put over their common denominator
+by ``times_atom``, one packed subtraction per monomial.  A
+``DemazureCombo`` is built from buckets only to show a sum
+(``DemazureCombo.from_buckets`` reduces each nonzero bucket once).
 """
 
 from __future__ import annotations
@@ -213,6 +219,33 @@ def atom_coeff(n: int, k: int) -> Coeff:
     return Coeff(n, {(0, zero_vec(n), zero_vec(n)): 1, (-1, xk, zero_vec(n)): -1})
 
 
+def _atom_step(n: int, k: int) -> tuple[int, int]:
+    """(the shift of the x_k field, the packed key of q x_k without bias).
+
+    Adding the step to a packed key multiplies its monomial by q x_k."""
+    shift = FIELD_BITS * (2 * n - k)
+    return shift, (1 << (2 * n * FIELD_BITS)) + (1 << shift)
+
+
+def times_atom(n: int, packed: dict[int, int], k: int) -> dict[int, int]:
+    """The packed numerator ``packed`` times the atom 1 - q^{-1}x_k^{-1}.
+
+    One packed subtraction per nonzero monomial, no Coeff.  ValueError if
+    an x_k-exponent would fall below EXP_MIN (the borrow sets the field's
+    guard bit, see ``packed_words``).
+    """
+    step = _atom_step(n, k)[1]
+    out = dict(packed)
+    seen = 0
+    for key, c in packed.items():
+        if c:
+            low = key - step
+            seen |= low
+            out[low] = out.get(low, 0) - c
+    check_packed(n, seen)
+    return out
+
+
 def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
     """Exact quotient c / (1 - q^{-1}x_k^{-1}), or None if not divisible.
 
@@ -221,8 +254,7 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
     keys, multiplying by y^-1 = q x_k adds ``step``.
     """
     n = c.n
-    shift = FIELD_BITS * (2 * n - k)  # the x_k field
-    step = (1 << (2 * n * FIELD_BITS)) + (1 << shift)
+    shift, step = _atom_step(n, k)
     groups: dict[int, dict[int, int]] = {}
     for key, v in c.packed.items():
         bk = ((key >> shift) & _FIELD_MASK) - FIELD_BIAS
@@ -242,6 +274,11 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
     return Coeff.from_packed(n, out)
 
 
+def _check_atoms(atoms: tuple[int, ...]):
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"repeated denominator atom in {atoms}")
+
+
 class RationalCoeff:
     """Coeff over a product of distinct atoms 1 - q^{-1}x_k^{-1}, kept reduced."""
 
@@ -249,8 +286,7 @@ class RationalCoeff:
 
     def __init__(self, numer: Coeff, atoms=()):
         atoms = tuple(sorted(atoms))
-        if len(set(atoms)) != len(atoms):
-            raise ValueError(f"repeated denominator atom in {atoms}")
+        _check_atoms(atoms)
         if numer.is_zero():
             atoms = ()
         if len(numer.packed) == 1:  # a monomial is a unit: no atom divides it
@@ -313,6 +349,58 @@ class RationalCoeff:
     __repr__ = __str__
 
 
+# --- integer buckets ----------------------------------------------------------
+
+Buckets = dict[tuple, dict[int, int]]  # (symbol, sorted atoms) -> {key: count}
+
+
+def fold_into(n: int, acc: Buckets, entries, sign: int = 1) -> Buckets:
+    """Add sign * count of each ((symbol, sorted atoms), packed monomial,
+    count) entry into its integer bucket of ``acc``; returns acc.
+
+    ValueError if a key left the packed range (see ``packed_words``).
+    """
+    seen = 0
+    for sym, key, c in entries:
+        seen |= key
+        bucket = acc.get(sym)
+        if bucket is None:
+            bucket = acc[sym] = {}
+        bucket[key] = bucket.get(key, 0) + sign * c
+    check_packed(n, seen)
+    return acc
+
+
+def cancels(n: int, acc: Buckets) -> bool:
+    """True iff the buckets sum to zero, each as count * monomial / prod(atoms).
+
+    The buckets of one symbol sum to zero iff their numerators do over the
+    union of their atoms; ``times_atom`` multiplies each numerator by the
+    atoms its bucket lacks, with no division and no reduction.  A lone
+    nonzero bucket never cancels.  ValueError if an atom repeats in a
+    bucket or a product left the packed range.
+    """
+    parts: dict[tuple, list] = {}
+    for (sym, atoms), bucket in acc.items():
+        if len(atoms) > 1:
+            _check_atoms(atoms)
+        if any(bucket.values()):
+            parts.setdefault(sym, []).append((atoms, bucket))
+    for buckets in parts.values():
+        if len(buckets) == 1:
+            return False
+        common = set().union(*(atoms for atoms, _ in buckets))
+        total: dict[int, int] = {}
+        for atoms, bucket in buckets:
+            for k in common.difference(atoms):
+                bucket = times_atom(n, bucket, k)
+            for key, c in bucket.items():
+                total[key] = total.get(key, 0) + c
+        if any(total.values()):
+            return False
+    return True
+
+
 # --- formal Demazure combinations -------------------------------------------
 
 @lru_cache(maxsize=1 << 12)
@@ -335,24 +423,28 @@ class DemazureCombo:
     @classmethod
     def folded(cls, n: int, entries) -> "DemazureCombo":
         """The sum of count * monomial / prod(atoms) * V_symbol over
-        ((symbol, sorted atoms), packed monomial, count) entries.
-
-        Counts sharing a symbol and atoms are added in one integer bucket;
-        each bucket is reduced once, and ``add_term`` joins the buckets of
-        a symbol.  A reduced form is unique, so this equals adding one
-        entry at a time.  ValueError if a key left the packed range (see
-        ``packed_words``) or an atom repeats.
+        ((symbol, sorted atoms), packed monomial, count) entries, added in
+        integer buckets by ``fold_into``.  ValueError if a key left the
+        packed range (see ``packed_words``) or an atom repeats.
         """
-        acc: dict[tuple, dict[int, int]] = {}
-        seen = 0
-        for sym, key, c in entries:
-            seen |= key
-            bucket = acc.setdefault(sym, {})
-            bucket[key] = bucket.get(key, 0) + c
-        check_packed(n, seen)
+        return cls.from_buckets(n, fold_into(n, {}, entries))
+
+    @classmethod
+    def from_buckets(cls, n: int, acc: Buckets) -> "DemazureCombo":
+        """The reduced combination of integer buckets (see ``fold_into``).
+
+        Each bucket whose counts do not all cancel is reduced once through
+        ``RationalCoeff``, and ``add_term`` joins the buckets of a symbol.
+        A reduced form is unique, so this equals adding one entry at a
+        time.  A cancelling bucket is skipped, but a repeated atom in it
+        still raises ValueError.
+        """
         out = cls(n)
         for (key, atoms), bucket in acc.items():
-            out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
+            if any(bucket.values()):
+                out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
+            else:
+                _check_atoms(atoms)
         return out
 
     def add_term(self, key: tuple[Window, Vec], rc: RationalCoeff):

@@ -1,10 +1,13 @@
 r"""Identity verification engine and proof-machinery property checks.
 
-Every identity is checked as an exact equality of formal Demazure
-combinations: the shifted-weight symbols on each side are rewritten through
-``chevalley_expand`` down to the base weight, and the reduced sides must
-agree term by term.  Failures produce a ``VerificationReport`` carrying the
-residual (difference, denominators cleared) for inspection.
+Every identity is checked exactly, in integers: both sides are folded into
+one set of integer buckets holding lhs - rhs, with the shifted-weight
+symbols rewritten through ``chevalley_expand`` down to the base weight
+(``expand_to_base``), and the identity holds iff every symbol's buckets
+cancel over their common denominator (``ring.cancels``).  Only a failure
+builds the two sides as reduced ``DemazureCombo``s, for a
+``VerificationReport`` carrying the residual (difference, denominators
+cleared) for inspection.
 
 Alongside the identity checks this module houses the mechanisms the proofs
 rest on: the six-case pairing on (B, A1) subset pairs, the group-algebra
@@ -28,14 +31,25 @@ from .expansions import (
     conj_second_blocks,
     expand_to_base,
     fold_terms,
+    ic_cf_first_terms,
+    ic_first_summed,
     ic_lhs,
+    ic_lhs_term,
     ic_rhs_cancel_free_first,
     ic_rhs_first,
-    ic_rhs_second,
+    ic_second_summed,
     normalized,
 )
 from .qbg import QBG
-from .ring import Coeff, DemazureCombo, RationalCoeff, clear_denominators
+from .ring import (
+    Buckets,
+    Coeff,
+    DemazureCombo,
+    RationalCoeff,
+    cancels,
+    clear_denominators,
+    fold_into,
+)
 from .typec import (
     Vec,
     Window,
@@ -97,19 +111,51 @@ def _compare(instance: str, lhs: DemazureCombo, rhs: DemazureCombo,
                               time.perf_counter() - t0, residual)
 
 
+def _decided(n: int, instance: str, t0: float, diff: Buckets, terms: int,
+             sides) -> VerificationReport:
+    """The report on an identity whose sides differ by the buckets ``diff``.
+
+    A verified identity has ``terms`` nonzero symbols on each side.  A
+    failure builds both sides as combinations with ``sides()`` and goes
+    through ``_compare``, which reports the residual.
+    """
+    if cancels(n, diff):
+        return VerificationReport(instance, "verified", terms, terms,
+                                  time.perf_counter() - t0)
+    return _compare(instance, *sides(), t0)
+
+
+def _side(n: int, terms) -> Buckets:
+    """The integer buckets of a stream of summands, unexpanded."""
+    return fold_into(n, {}, normalized(terms))
+
+
+def _symbols(side: Buckets) -> int:
+    """The number of nonzero symbols of an atom-free side."""
+    return sum(1 for bucket in side.values() if any(bucket.values()))
+
+
+def _base_combo(qbg: QBG, terms) -> DemazureCombo:
+    """A stream of summands read at the base weight, as a reduced combination."""
+    return DemazureCombo.from_buckets(qbg.n, expand_to_base(qbg, {}, normalized(terms)))
+
+
 # -- identity checks -----------------------------------------------------
 
 
 def _verify_inverse(qbg: QBG, w: Window, m: int, xi: Vec | None,
                     sign: str) -> VerificationReport:
     t0 = time.perf_counter()
-    xi = zero_vec(qbg.n) if xi is None else tuple(xi)
+    n = qbg.n
+    xi = zero_vec(n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = ic_lhs(qbg, x, m, sign)
-    build, half = (ic_rhs_first, "first") if sign == "+" else (ic_rhs_second, "second")
-    rhs = expand_to_base(qbg, build(qbg, x, m))
+    lhs = _side(n, [ic_lhs_term(qbg, x, m, sign)])
+    terms = _symbols(lhs)
+    summed, half = (ic_first_summed, "first") if sign == "+" else (ic_second_summed, "second")
+    diff = expand_to_base(qbg, lhs, normalized(summed(qbg, x, m)), -1)
     inst = f"{half}-half w={window_str(w)} m={m} xi={window_str(xi)}"
-    return _compare(inst, lhs, rhs, t0)
+    return _decided(n, inst, t0, diff, terms, lambda: (
+        ic_lhs(qbg, x, m, sign), _base_combo(qbg, summed(qbg, x, m))))
 
 
 def verify_first_half(qbg: QBG, w: Window, m: int,
@@ -128,24 +174,49 @@ def verify_cancel_free(qbg: QBG, w: Window, m: int,
                        xi: Vec | None = None) -> VerificationReport:
     """Check that the collapsed first form equals the alternating one."""
     t0 = time.perf_counter()
-    xi = zero_vec(qbg.n) if xi is None else tuple(xi)
+    n = qbg.n
+    xi = zero_vec(n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = ic_rhs_cancel_free_first(qbg, x, m)
-    rhs = ic_rhs_first(qbg, x, m)
+    lhs = _side(n, ic_cf_first_terms(qbg, x, m))
+    terms = _symbols(lhs)
+    diff = fold_into(n, lhs, normalized(ic_first_summed(qbg, x, m)), -1)
     inst = f"cancel-free w={window_str(w)} m={m} xi={window_str(xi)}"
-    return _compare(inst, lhs, rhs, t0)
+    return _decided(n, inst, t0, diff, terms, lambda: (
+        ic_rhs_cancel_free_first(qbg, x, m), ic_rhs_first(qbg, x, m)))
 
 
-def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureCombo]:
-    """Both sides of the key identity for the signed letter t = +-k.
+def _key_terms(qbg: QBG, w: Window, t: int):
+    """The summands of both sides of the key identity for t = +-k.
 
     LHS: the block from w for t, landing at lam + eps_t.  RHS: the block
     for -t with its symbols read at lam, times e^{w eps_t}.
     """
     n = qbg.n
-    lhs = fold_terms(n, _block(qbg, w, t, zero_vec(n)))
     rhs = _block(qbg, w, -t, zero_vec(n), nu=act(w, eps_vec(t, n)))
-    return lhs, fold_terms(n, ((sym, zero_vec(n), key, c) for sym, _, key, c in rhs))
+    return (_block(qbg, w, t, zero_vec(n)),
+            ((sym, zero_vec(n), key, c) for sym, _, key, c in rhs))
+
+
+def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureCombo]:
+    """Both sides of the key identity for the signed letter t = +-k, folded."""
+    lhs, rhs = _key_terms(qbg, w, t)
+    return fold_terms(qbg.n, lhs), fold_terms(qbg.n, rhs)
+
+
+def _verify_key(qbg: QBG, instance: str, t0: float, w: Window,
+                t: int) -> VerificationReport:
+    """One key identity: the expanded lhs against the rhs, already at lam."""
+    n = qbg.n
+
+    def sides():
+        lhs, rhs = _key_terms(qbg, w, t)
+        return _base_combo(qbg, lhs), fold_terms(n, rhs)
+
+    lhs, rhs = _key_terms(qbg, w, t)
+    rhs = _side(n, rhs)
+    terms = _symbols(rhs)
+    diff = expand_to_base(qbg, rhs, normalized(lhs), -1)  # rhs - lhs, in place
+    return _decided(n, instance, t0, diff, terms, sides)
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -167,13 +238,11 @@ def key_second_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, Demazu
 
 
 def verify_key_props(qbg: QBG, w: Window, k: int) -> VerificationReport:
-    """Check both key identities for (w, k) through the expansion oracle."""
+    """Check both key identities for (w, k), each lhs read at the base weight."""
     t0 = time.perf_counter()
-    l1, r1 = key_first_sides(qbg, w, k)
-    l2, r2 = key_second_sides(qbg, w, k)
     inst = f"key-props w={window_str(w)} k={k}"
-    rep1 = _compare(inst, expand_to_base(qbg, l1), r1, t0)
-    rep2 = _compare(inst, expand_to_base(qbg, l2), r2, t0)
+    rep1 = _verify_key(qbg, inst, t0, w, k)
+    rep2 = _verify_key(qbg, inst, t0, w, -k)
     ok = rep1.ok and rep2.ok
     return VerificationReport(
         inst, "verified" if ok else "failed",
@@ -317,8 +386,8 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
     pre-summation stream is tested for cancellation-freeness.
 
     The scan is incremental in l: the blocks of ``conj_second_blocks`` are
-    built and expanded once, and the right-hand side for l is the one for
-    l - 1 plus the expanded block for the letter l.
+    built once, and the integer difference lhs - rhs for l is the one for
+    l - 1 minus the expanded block for the letter l.
     """
     n = qbg.n
     working: dict[tuple[Window, int], tuple[int, ...]] = {}
@@ -328,17 +397,14 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
     for w in (tuple(elements) if elements is not None else qbg.group):
         for m in ms:
             x = (w, zero_vec(n))
-            lhs = ic_lhs(qbg, x, m, "-")
+            diff = _side(n, [ic_lhs_term(qbg, x, m, "-")])
             blocks = conj_second_blocks(qbg, x, m, n)
             ls = []
             for l in range(m, n + 1):
                 cut = n - m + l + 1  # blocks[:cut] make up the form for l
-                if l == m:
-                    head = chain.from_iterable(blocks[:cut])
-                    rhs = expand_to_base(qbg, fold_terms(n, head))
-                else:
-                    rhs = rhs + expand_to_base(qbg, fold_terms(n, blocks[cut - 1]))
-                if lhs == rhs:
+                new = blocks[:cut] if l == m else blocks[cut - 1:cut]
+                expand_to_base(qbg, diff, normalized(chain.from_iterable(new)), -1)
+                if cancels(n, diff):
                     ls.append(l)
                     certs[(w, m, l)] = cancellation_certificate(
                         chain.from_iterable(blocks[:cut]))

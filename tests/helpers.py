@@ -5,9 +5,17 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
+from qalcove import expansions
 from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
 from qalcove.qbg import DirectedPath
-from qalcove.ring import Coeff, DemazureCombo, RationalCoeff, pack, translation_key
+from qalcove.ring import (
+    Coeff,
+    DemazureCombo,
+    RationalCoeff,
+    pack,
+    packed_words,
+    translation_key,
+)
 from qalcove.typec import (
     act,
     coroot,
@@ -436,3 +444,45 @@ def display_block(qbg, base, kind, j, extra, qexp, mu):
         add_symbol(combo, (B.end, vec_add(B.down, extra)), mu,
                    monomial(qbg.n, sign, q=qexp))
     return combo
+
+
+def expand_combo(qbg, combo):
+    """The combination-level ``expand_to_base``: every V_y(lam +- eps_k) of a
+    ``DemazureCombo`` rewritten through ``chevalley_expand`` into a reduced
+    ``DemazureCombo`` at the base weight, one ``folded`` entry per product of
+    a numerator monomial and a record entry.  Shift-0 symbols pass through.
+    It reaches ``chevalley_expand`` through the module, so a monkeypatched
+    expansion is seen here as it is by the library."""
+    bias = packed_words(combo.n)[0]
+    zero = zero_vec(combo.n)
+
+    def entries():
+        for (y, mu), rc in combo.terms.items():
+            numer = rc.numer.packed.items()
+            if not any(mu):
+                for k1, c1 in numer:
+                    yield ((y, mu), rc.atoms), k1, c1
+                continue
+            k, sign = expansions._mu_index(mu)
+            chev = expansions.chevalley_expand(qbg, y, sign, k)
+            atoms = tuple(sorted(chev.atoms + rc.atoms))
+            for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
+                sym = ((end, zero), atoms)
+                for k1, c1 in numer:
+                    yield sym, k1 + k2 - bias, c1 * c2
+
+    return DemazureCombo.folded(combo.n, entries())
+
+
+def buckets_of(combo):
+    """The integer buckets of a combination: its numerators' packed counts,
+    keyed by (symbol, atoms)."""
+    return {(key, rc.atoms): dict(rc.numer.packed) for key, rc in combo.terms.items()}
+
+
+def expand_buckets(qbg, combo):
+    """The library's integer ``expand_to_base`` of a combination, shown as a
+    reduced combination (what a failing report displays)."""
+    entries = ((sym, key, c) for sym, bucket in buckets_of(combo).items()
+               for key, c in bucket.items())
+    return DemazureCombo.from_buckets(combo.n, expansions.expand_to_base(qbg, {}, entries))

@@ -17,7 +17,6 @@ from qalcove.alcove import (
 )
 from qalcove.cli import _init_worker, _run_instance, main
 from qalcove.expansions import (
-    expand_to_base,
     ic_cf_first_terms,
     ic_lhs,
     ic_rhs_cancel_free_first,
@@ -46,6 +45,7 @@ from helpers import (
     assert_minimum,
     assert_shortest_weights_unique,
     display_block,
+    expand_combo,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,7 +98,7 @@ def test_criterion_2_example_identities(qbg3):
     assert cf1 == d1
     assert sorted(cf1.terms) == sorted(d1.terms)  # same symbols, term-for-term
     assert ic_rhs_first(qbg3, x1, 3) == d1
-    assert expand_to_base(qbg3, cf1) == ic_lhs(qbg3, x1, 3, "+")
+    assert expand_combo(qbg3, cf1) == ic_lhs(qbg3, x1, 3, "+")
 
     # second half, w = s3 s2, m = 2
     w2 = parse_word("s3 s2", 3)
@@ -116,7 +116,7 @@ def test_criterion_2_example_identities(qbg3):
     assert conj2 == d2
     assert sorted(conj2.terms) == sorted(d2.terms)
     assert ic_rhs_second(qbg3, x2, 2) == d2
-    assert expand_to_base(qbg3, conj2) == ic_lhs(qbg3, x2, 2, "-")
+    assert expand_combo(qbg3, conj2) == ic_lhs(qbg3, x2, 2, "-")
 
     # second half, w = s1 s2 s3 s2 s1, m = 1
     w3 = parse_word("s1 s2 s3 s2 s1", 3)
@@ -131,7 +131,7 @@ def test_criterion_2_example_identities(qbg3):
     assert conj3 == d3
     assert sorted(conj3.terms) == sorted(d3.terms)
     assert ic_rhs_second(qbg3, x3, 1) == d3
-    assert expand_to_base(qbg3, conj3) == ic_lhs(qbg3, x3, 1, "-")
+    assert expand_combo(qbg3, conj3) == ic_lhs(qbg3, x3, 1, "-")
 
     assert time.time() - t0 < 5.0
     _pass(2, "three worked displays reproduced term-for-term; "

@@ -2,7 +2,7 @@
 
 ``chevalley_expand`` caches one ``ChevalleyExpansion`` per (w, sign, k) in
 ``QBG._chev_cache``, and ``expand_to_base`` multiplies its entries straight
-into the fold.  A ``Coeff``, ``RationalCoeff`` or dict in a cached value
+into integer buckets.  A ``Coeff``, ``RationalCoeff`` or dict in a cached value
 would cost hundreds of bytes per symbol again, so after a sweep every value
 must reach only tuples and ints.  ``cache_bytes`` counts what the cache
 costs; run as a script, this module prints that count after a serial,
@@ -17,12 +17,12 @@ import os
 import random
 import sys
 
+from helpers import expand_buckets
 from qalcove import cli
 from qalcove.expansions import (
     ChevalleyExpansion,
     _mu_index,
     chevalley_expand,
-    expand_to_base,
     ic_rhs_cancel_free_first,
     ic_rhs_first,
     ic_rhs_second,
@@ -116,7 +116,7 @@ def _check_expanded(qbg, w, xi):
              for build in (ic_rhs_first, ic_rhs_second, ic_rhs_cancel_free_first)]
     sides += [_key_sides(qbg, w, t)[0] for k in range(1, n + 1) for t in (k, -k)]
     for side in sides:
-        got, want = expand_to_base(qbg, side), combo_expand_to_base(qbg, side)
+        got, want = expand_buckets(qbg, side), combo_expand_to_base(qbg, side)
         assert got == want
         assert got.to_json() == want.to_json()
 

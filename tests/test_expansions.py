@@ -9,12 +9,18 @@ import random
 
 import pytest
 
-from helpers import add_symbol, display_block, monomial, shift_lambda
+from helpers import (
+    add_symbol,
+    display_block,
+    expand_buckets,
+    expand_combo,
+    monomial,
+    shift_lambda,
+)
 from qalcove.alcove import filtered_A
 from qalcove.expansions import (
     chevalley_expand,
     enumerate_S,
-    expand_to_base,
     fold_terms,
     ic_cf_first_terms,
     ic_conj_second_terms,
@@ -152,11 +158,11 @@ def test_plus_then_minus_roundtrip(qbg3):
 def test_expand_to_base_passthrough_and_errors(qbg3):
     combo = DemazureCombo(3)
     add_symbol(combo, ((1, 2, 3), zero_vec(3)), zero_vec(3), monomial(3))
-    assert expand_to_base(qbg3, combo) == combo
+    assert expand_buckets(qbg3, combo) == combo
     bad = DemazureCombo(3)
     bad.add_term(((1, 2, 3), (1, 1, 0)), RationalCoeff(monomial(3)))
     with pytest.raises(ValueError):
-        expand_to_base(qbg3, bad)
+        expand_buckets(qbg3, bad)
 
 
 def test_stream_terms_are_signed_q_powers(qbg3):
@@ -207,7 +213,7 @@ def test_instance1_display(qbg3):
     # the alternating form agrees after its internal cancellations
     assert ic_rhs_first(qbg3, x, 3) == expected
     # and expands to e^{w eps_3} gch V_w(lam)
-    assert expand_to_base(qbg3, cf) == ic_lhs(qbg3, x, 3, "+")
+    assert expand_combo(qbg3, cf) == ic_lhs(qbg3, x, 3, "+")
 
 
 def test_instance1_precancellation_blocks(qbg3):
@@ -277,7 +283,7 @@ def test_instance2_display(qbg3):
     conj = ic_rhs_conjecture_second(qbg3, x, 2, 3)
     assert conj == expected
     assert ic_rhs_second(qbg3, x, 2) == expected
-    assert expand_to_base(qbg3, conj) == ic_lhs(qbg3, x, 2, "-")
+    assert expand_combo(qbg3, conj) == ic_lhs(qbg3, x, 2, "-")
 
 
 # -- worked instance 3: second half, w = s1 s2 s3 s2 s1, m = 1 ------------
@@ -331,7 +337,7 @@ def test_instance3_display(qbg3):
     conj = ic_rhs_conjecture_second(qbg3, x, 1, 1)
     assert conj == expected
     assert ic_rhs_second(qbg3, x, 1) == expected
-    assert expand_to_base(qbg3, conj) == ic_lhs(qbg3, x, 1, "-")
+    assert expand_combo(qbg3, conj) == ic_lhs(qbg3, x, 1, "-")
 
 
 # -- collapsed vs alternating forms ---------------------------------------
@@ -370,7 +376,7 @@ def test_fold_is_independent_of_summation_order(qbg3):
         terms = list(ic_second_terms(qbg3, _x(parse_word(word, 3)), m))
         shuffled = rng.sample(terms, len(terms))
         folds = [fold_terms(3, t) for t in (terms, terms[::-1], shuffled)]
-        for combos in (folds, [expand_to_base(qbg3, f) for f in folds]):
+        for combos in (folds, [expand_buckets(qbg3, f) for f in folds]):
             first, *rest = combos
             assert all(c == first for c in rest)
             assert all(c.to_json() == first.to_json() for c in rest)

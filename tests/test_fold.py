@@ -2,8 +2,9 @@
 
 ``DemazureCombo.folded`` builds every combination: the inverse-form
 right-hand sides, the key sides, the Chevalley expansions (a cached
-``ChevalleyExpansion`` through its ``combo``), ``expand_to_base`` products,
-sums, differences and denominator clearing.  Each oracle below
+``ChevalleyExpansion`` through its ``combo``), the integer buckets of
+``expand_to_base`` shown through ``from_buckets``, sums, differences and
+denominator clearing.  Each oracle below
 adds one RationalCoeff at a time through ``add_term``, reducing after every
 addition, and multiplies with ``Coeff.__mul__``.  A reduced fraction is the
 unique form of its value, so every builder must give the oracle's
@@ -14,7 +15,14 @@ import random
 
 import pytest
 
-from helpers import add_symbol, coeff_terms, monomial, oracle_subsets
+from helpers import (
+    add_symbol,
+    coeff_terms,
+    expand_buckets,
+    expand_combo,
+    monomial,
+    oracle_subsets,
+)
 from qalcove import expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
@@ -25,7 +33,6 @@ from qalcove.expansions import (
     _second_dsts,
     _summed,
     chevalley_expand,
-    expand_to_base,
     fold_terms,
     ic_rhs_first,
     ic_rhs_second,
@@ -127,14 +134,14 @@ def check_element(qbg, w, xi, cache):
                  _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))):
             oracle = fold_oracle(n, coeff_terms(stream))
             assert_same(built, oracle)
-            assert_same(expand_to_base(qbg, built), expand_oracle(qbg, oracle, cache))
+            assert_same(expand_buckets(qbg, built), expand_oracle(qbg, oracle, cache))
     for k in range(1, n + 1):
         for t in (k, -k):
             sides = _key_sides(qbg, w, t)
             oracles = key_sides_oracle(qbg, w, t)
             for side, oracle in zip(sides, oracles):
                 assert_same(side, oracle)
-            assert_same(expand_to_base(qbg, sides[0]),
+            assert_same(expand_buckets(qbg, sides[0]),
                         expand_oracle(qbg, oracles[0], cache))
 
 
@@ -234,7 +241,8 @@ def test_summed_random_items_match_oracle():
 
 
 def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
-    """Products of random numerators, with atoms, and Chevalley numerators."""
+    """Products of random numerators, with atoms, and Chevalley numerators,
+    through the integer buckets and through the combination-level oracle."""
     rng = random.Random(7)
     for qbg in (qbg2, qbg3):
         n, cache = qbg.n, {}
@@ -251,20 +259,30 @@ def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
                 if atoms and rng.random() < 0.3:
                     numer = numer * atom_coeff(n, atoms[0])
                 combo.add_term((rng.choice(qbg.group), mu), RationalCoeff(numer, atoms))
-            assert_same(expand_to_base(qbg, combo), expand_oracle(qbg, combo, cache))
+            want = expand_oracle(qbg, combo, cache)
+            assert_same(expand_buckets(qbg, combo), want)
+            assert_same(expand_combo(qbg, combo), want)
 
 
 def _expand_with(monkeypatch, numer, factor, *passing):
-    """expand_to_base of numer V_{12}(lam + eps_1), plus each of ``passing``
-    times V_{21}(lam), with every Chevalley expansion replaced by
-    factor V_{12}(lam)."""
+    """The integer ``expand_to_base`` of numer V_{12}(lam + eps_1), plus each
+    of ``passing`` times V_{21}(lam), with every Chevalley expansion replaced
+    by factor V_{12}(lam); the combination-level oracle must agree."""
     chev = record_of(2, (1, 2), factor)
     monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
     combo = DemazureCombo(2)
     combo.add_term(((1, 2), eps_vec(1, 2)), RationalCoeff(numer))
     for rc in passing:
         combo.add_term(((2, 1), zero_vec(2)), rc)
-    return expand_to_base(None, combo)
+    try:
+        want = expand_combo(None, combo)
+    except ValueError:
+        with pytest.raises(ValueError, match="packed range"):
+            expand_buckets(QBG(2), combo)
+        raise
+    got = expand_buckets(QBG(2), combo)
+    assert_same(got, want)
+    return got
 
 
 @pytest.mark.parametrize("field", range(4))
@@ -343,8 +361,9 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
     for mu, atom in ((eps_vec(2, 3), 2), (eps_vec(-3, 3), 2)):
         combo = DemazureCombo(3)
         combo.add_term(((2, 1, 3), mu), RationalCoeff(one, (atom,)))
-        with pytest.raises(ValueError):
-            expand_to_base(qbg3, combo)
+        for expand in (expand_buckets, expand_combo):
+            with pytest.raises(ValueError):
+                expand(qbg3, combo)
         with pytest.raises(ValueError):
             expand_oracle(qbg3, combo, {})
     # ... even when the two products that repeat it cancel
@@ -353,8 +372,9 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
     combo = DemazureCombo(3)
     combo.add_term(((1, 2, 3), eps_vec(2, 3)), RationalCoeff(one, (2,)))
     combo.add_term(((2, 1, 3), eps_vec(2, 3)), RationalCoeff(-one, (2,)))
-    with pytest.raises(ValueError, match="repeated"):
-        expand_to_base(qbg3, combo)
+    for expand in (expand_buckets, expand_combo):
+        with pytest.raises(ValueError, match="repeated"):
+            expand(qbg3, combo)
 
 
 def test_normalized_absorbs_translation():

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import expand_combo
 from qalcove.expansions import (
     _block,
     _collapsed,
-    expand_to_base,
     fold_terms,
     ic_conj_second_terms,
     ic_lhs,
@@ -43,7 +43,7 @@ def _scan_oracle(qbg, ms=None, elements=None):
             lhs = ic_lhs(qbg, x, m, "-")
             ls = []
             for l in range(m, n + 1):
-                rhs = expand_to_base(qbg, ic_rhs_conjecture_second(qbg, x, m, l))
+                rhs = expand_combo(qbg, ic_rhs_conjecture_second(qbg, x, m, l))
                 if lhs == rhs:
                     ls.append(l)
                     certs[(w, m, l)] = cancellation_certificate(

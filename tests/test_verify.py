@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from helpers import add_symbol, monomial, product_certificate, shift_lambda, specialized_equal
+from helpers import (
+    add_symbol,
+    expand_combo,
+    monomial,
+    product_certificate,
+    shift_lambda,
+    specialized_equal,
+)
 from qalcove.alcove import make_chain, subset_stats
 from qalcove.expansions import (
-    expand_to_base,
     ic_cf_first_terms,
     ic_conj_second_terms,
     ic_first_terms,
@@ -132,7 +138,7 @@ def test_specialization_consistency(qbg3):
     w = parse_word("s1 s2 s1", 3)
     x = (w, zero_vec(3))
     lhs = ic_lhs(qbg3, x, 3, "+")
-    rhs = expand_to_base(qbg3, ic_rhs_first(qbg3, x, 3))
+    rhs = expand_combo(qbg3, ic_rhs_first(qbg3, x, 3))
     for _ in range(3):
         d = sorted((rng.randrange(0, 6) for _ in range(3)), reverse=True)
         lam = tuple(d)
