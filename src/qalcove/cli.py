@@ -155,7 +155,10 @@ def _cmd_verify(args) -> tuple[str, int]:
         rng = random.Random(args.seed)
         tasks = rng.sample(tasks, min(args.sample, len(tasks)))
     t0 = time.perf_counter()
-    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    # an affinity mask can allow fewer CPUs than the host has
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, cpus, len(tasks))
     if workers > 1:
         with mp.Pool(workers, initializer=_init_worker, initargs=(n,)) as pool:
             reports = pool.map(_run_instance, tasks, chunksize=4)

@@ -4,8 +4,9 @@ Every identity is checked exactly, in integers: both sides are folded into
 one set of integer buckets holding lhs - rhs, with the shifted-weight
 symbols rewritten through ``chevalley_expand`` down to the base weight
 (``expand_to_base``), and the identity holds iff every symbol's buckets
-cancel over their common denominator (``ring.cancels``).  Only a failure
-builds the two sides as reduced ``DemazureCombo``s, for a
+cancel over their common denominator (``ring.cancels``).  Each identity is
+stated once, as the summand streams of its two sides; only a failure folds
+those same streams again into reduced ``DemazureCombo``s, for a
 ``VerificationReport`` carrying the residual (difference, denominators
 cleared) for inspection.
 
@@ -33,10 +34,7 @@ from .expansions import (
     fold_terms,
     ic_cf_first_terms,
     ic_first_summed,
-    ic_lhs,
     ic_lhs_term,
-    ic_rhs_cancel_free_first,
-    ic_rhs_first,
     ic_second_summed,
     normalized,
 )
@@ -111,33 +109,35 @@ def _compare(instance: str, lhs: DemazureCombo, rhs: DemazureCombo,
                               time.perf_counter() - t0, residual)
 
 
-def _decided(n: int, instance: str, t0: float, diff: Buckets, terms: int,
-             sides) -> VerificationReport:
-    """The report on an identity whose sides differ by the buckets ``diff``.
+def _fold(qbg: QBG, acc: Buckets, terms, at_base: bool, sign: int = 1) -> Buckets:
+    """Add sign times a stream of summands to the integer buckets ``acc``,
+    rewritten to the base weight by ``expand_to_base`` when ``at_base``."""
+    entries = normalized(terms)
+    if at_base:
+        return expand_to_base(qbg, acc, entries, sign)
+    return fold_into(qbg.n, acc, entries, sign)
 
-    A verified identity has ``terms`` nonzero symbols on each side.  A
-    failure builds both sides as combinations with ``sides()`` and goes
-    through ``_compare``, which reports the residual.
+
+def _identity(qbg: QBG, instance: str, t0: float, lhs, rhs) -> VerificationReport:
+    """The report on the identity lhs = rhs.
+
+    Each side is (a zero-argument callable streaming its summands, whether
+    it is read at the base weight).  A side not read at the base weight is
+    folded first, and a verified identity has its number of nonzero symbols
+    on each side; the other side is subtracted and ``cancels`` decides.  A
+    failure folds both sides again from the same streams and goes through
+    ``_compare``, which reports the residual.
     """
-    if cancels(n, diff):
-        return VerificationReport(instance, "verified", terms, terms,
+    n = qbg.n
+    (terms, at_base), (other, other_at_base) = (rhs, lhs) if lhs[1] else (lhs, rhs)
+    diff = _fold(qbg, {}, terms(), at_base)
+    symbols = sum(1 for bucket in diff.values() if any(bucket.values()))
+    if cancels(n, _fold(qbg, diff, other(), other_at_base, -1)):
+        return VerificationReport(instance, "verified", symbols, symbols,
                                   time.perf_counter() - t0)
-    return _compare(instance, *sides(), t0)
-
-
-def _side(n: int, terms) -> Buckets:
-    """The integer buckets of a stream of summands, unexpanded."""
-    return fold_into(n, {}, normalized(terms))
-
-
-def _symbols(side: Buckets) -> int:
-    """The number of nonzero symbols of an atom-free side."""
-    return sum(1 for bucket in side.values() if any(bucket.values()))
-
-
-def _base_combo(qbg: QBG, terms) -> DemazureCombo:
-    """A stream of summands read at the base weight, as a reduced combination."""
-    return DemazureCombo.from_buckets(qbg.n, expand_to_base(qbg, {}, normalized(terms)))
+    lhs, rhs = (DemazureCombo.from_buckets(n, _fold(qbg, {}, side(), at_base))
+                for side, at_base in (lhs, rhs))
+    return _compare(instance, lhs, rhs, t0)
 
 
 # -- identity checks -----------------------------------------------------
@@ -146,16 +146,12 @@ def _base_combo(qbg: QBG, terms) -> DemazureCombo:
 def _verify_inverse(qbg: QBG, w: Window, m: int, xi: Vec | None,
                     sign: str) -> VerificationReport:
     t0 = time.perf_counter()
-    n = qbg.n
-    xi = zero_vec(n) if xi is None else tuple(xi)
+    xi = zero_vec(qbg.n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = _side(n, [ic_lhs_term(qbg, x, m, sign)])
-    terms = _symbols(lhs)
     summed, half = (ic_first_summed, "first") if sign == "+" else (ic_second_summed, "second")
-    diff = expand_to_base(qbg, lhs, normalized(summed(qbg, x, m)), -1)
     inst = f"{half}-half w={window_str(w)} m={m} xi={window_str(xi)}"
-    return _decided(n, inst, t0, diff, terms, lambda: (
-        ic_lhs(qbg, x, m, sign), _base_combo(qbg, summed(qbg, x, m))))
+    return _identity(qbg, inst, t0, (lambda: [ic_lhs_term(qbg, x, m, sign)], False),
+                     (lambda: summed(qbg, x, m), True))
 
 
 def verify_first_half(qbg: QBG, w: Window, m: int,
@@ -174,49 +170,33 @@ def verify_cancel_free(qbg: QBG, w: Window, m: int,
                        xi: Vec | None = None) -> VerificationReport:
     """Check that the collapsed first form equals the alternating one."""
     t0 = time.perf_counter()
-    n = qbg.n
-    xi = zero_vec(n) if xi is None else tuple(xi)
+    xi = zero_vec(qbg.n) if xi is None else tuple(xi)
     x = (w, xi)
-    lhs = _side(n, ic_cf_first_terms(qbg, x, m))
-    terms = _symbols(lhs)
-    diff = fold_into(n, lhs, normalized(ic_first_summed(qbg, x, m)), -1)
     inst = f"cancel-free w={window_str(w)} m={m} xi={window_str(xi)}"
-    return _decided(n, inst, t0, diff, terms, lambda: (
-        ic_rhs_cancel_free_first(qbg, x, m), ic_rhs_first(qbg, x, m)))
+    return _identity(qbg, inst, t0, (lambda: ic_cf_first_terms(qbg, x, m), False),
+                     (lambda: ic_first_summed(qbg, x, m), False))
 
 
 def _key_terms(qbg: QBG, w: Window, t: int):
-    """The summands of both sides of the key identity for t = +-k.
+    """Both sides of the key identity for t = +-k, as ``_identity`` takes them.
 
-    LHS: the block from w for t, landing at lam + eps_t.  RHS: the block
-    for -t with its symbols read at lam, times e^{w eps_t}.
+    LHS: the block from w for t, landing at lam + eps_t, read at the base
+    weight.  RHS: the block for -t with its symbols read at lam, times
+    e^{w eps_t}.
     """
     n = qbg.n
-    rhs = _block(qbg, w, -t, zero_vec(n), nu=act(w, eps_vec(t, n)))
-    return (_block(qbg, w, t, zero_vec(n)),
-            ((sym, zero_vec(n), key, c) for sym, _, key, c in rhs))
+    zero = zero_vec(n)
+
+    def rhs():
+        for sym, _, key, c in _block(qbg, w, -t, zero, nu=act(w, eps_vec(t, n))):
+            yield sym, zero, key, c
+
+    return (lambda: _block(qbg, w, t, zero), True), (rhs, False)
 
 
 def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureCombo]:
     """Both sides of the key identity for the signed letter t = +-k, folded."""
-    lhs, rhs = _key_terms(qbg, w, t)
-    return fold_terms(qbg.n, lhs), fold_terms(qbg.n, rhs)
-
-
-def _verify_key(qbg: QBG, instance: str, t0: float, w: Window,
-                t: int) -> VerificationReport:
-    """One key identity: the expanded lhs against the rhs, already at lam."""
-    n = qbg.n
-
-    def sides():
-        lhs, rhs = _key_terms(qbg, w, t)
-        return _base_combo(qbg, lhs), fold_terms(n, rhs)
-
-    lhs, rhs = _key_terms(qbg, w, t)
-    rhs = _side(n, rhs)
-    terms = _symbols(rhs)
-    diff = expand_to_base(qbg, rhs, normalized(lhs), -1)  # rhs - lhs, in place
-    return _decided(n, instance, t0, diff, terms, sides)
+    return tuple(fold_terms(qbg.n, terms()) for terms, _ in _key_terms(qbg, w, t))
 
 
 def key_first_sides(qbg: QBG, w: Window, k: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -241,8 +221,8 @@ def verify_key_props(qbg: QBG, w: Window, k: int) -> VerificationReport:
     """Check both key identities for (w, k), each lhs read at the base weight."""
     t0 = time.perf_counter()
     inst = f"key-props w={window_str(w)} k={k}"
-    rep1 = _verify_key(qbg, inst, t0, w, k)
-    rep2 = _verify_key(qbg, inst, t0, w, -k)
+    rep1 = _identity(qbg, inst, t0, *_key_terms(qbg, w, k))
+    rep2 = _identity(qbg, inst, t0, *_key_terms(qbg, w, -k))
     ok = rep1.ok and rep2.ok
     return VerificationReport(
         inst, "verified" if ok else "failed",
@@ -397,13 +377,13 @@ def conjecture_scan(qbg: QBG, ms: Iterable[int] | None = None,
     for w in (tuple(elements) if elements is not None else qbg.group):
         for m in ms:
             x = (w, zero_vec(n))
-            diff = _side(n, [ic_lhs_term(qbg, x, m, "-")])
+            diff = _fold(qbg, {}, [ic_lhs_term(qbg, x, m, "-")], False)
             blocks = conj_second_blocks(qbg, x, m, n)
             ls = []
             for l in range(m, n + 1):
                 cut = n - m + l + 1  # blocks[:cut] make up the form for l
                 new = blocks[:cut] if l == m else blocks[cut - 1:cut]
-                expand_to_base(qbg, diff, normalized(chain.from_iterable(new)), -1)
+                _fold(qbg, diff, chain.from_iterable(new), True, -1)
                 if cancels(n, diff):
                     ls.append(l)
                     certs[(w, m, l)] = cancellation_certificate(

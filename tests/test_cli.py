@@ -238,14 +238,24 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch, capsys):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(cli.mp, "Pool", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     base = ["verify", "--rank", "2", "--w", "s1", "--jobs", "1000000000"]
-    code, _, _ = run(base, capsys)  # 6 tasks on 4 cores
+    code, _, _ = run(base, capsys)  # 6 tasks on 4 usable cores
     assert code == 0 and sizes == [4]
     code, _, _ = run(base + ["--variant", "key"], capsys)  # 2 tasks
     assert code == 0 and sizes == [4, 2]
     code, _, _ = run(base + ["--variant", "key", "--m", "1"], capsys)  # serial
     assert code == 0 and sizes == [4, 2]
+    # a mask of 2 of the host's 8 CPUs
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5, 7})
+    code, _, _ = run(base, capsys)
+    assert code == 0 and sizes == [4, 2, 2]
+    # without affinity masks, every CPU of the host counts
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, _, _ = run(base, capsys)
+    assert code == 0 and sizes == [4, 2, 2, 3]
 
 
 def test_verify_builds_one_graph(monkeypatch, capsys):

@@ -127,6 +127,59 @@ def test_sign_fault_reports_the_oracle_residual(monkeypatch):
     assert failed == {"first", "second", "key"}
 
 
+def test_collapsed_sign_fault_fails_cf_with_the_oracle_residual(monkeypatch):
+    """One flipped summand sign in ``_collapsed`` touches only the collapsed
+    side of cf, so cf fails; each report must be the oracle's."""
+    collapsed = expansions._collapsed
+
+    def faulty(qbg, w, xi, src, dst):
+        for i, (sym, mu, key, c) in enumerate(collapsed(qbg, w, xi, src, dst)):
+            yield sym, mu, key, -c if (dst == 1 and i == 0) else c
+
+    monkeypatch.setattr(expansions, "_collapsed", faulty)
+    qbg = QBG(3)
+    failed = set()
+    for variant, w, m, xi in instances(qbg):
+        if variant != "cf":
+            continue
+        got = VERIFIERS[variant](qbg, w, m, xi)
+        assert shown(got) == shown(oracle_report(qbg, variant, w, m, xi))
+        if not got.ok:
+            failed.add((w, m, xi))
+            assert got.to_json()["residual"] and got.to_json()["residual_latex"]
+    assert len(failed) == 192 and {xi for _, _, xi in failed} == set(XIS[3])
+
+
+def test_minus_expansion_fault_fails_the_second_key_identity_only(monkeypatch):
+    """With the first count of every gch V_w(lam - eps_k) expansion negated,
+    only the -eps_k key identity reads its lhs through such an expansion:
+    every key report fails with the second identity's residual."""
+    expand = expansions.chevalley_expand
+
+    def faulty(qbg, w, sign, k):
+        chev = expand(qbg, w, sign, k)
+        if sign == "-" and chev.counts:
+            chev = chev._replace(counts=(-chev.counts[0],) + chev.counts[1:])
+        return chev
+
+    monkeypatch.setattr(expansions, "chevalley_expand", faulty)
+    qbg = QBG(3)
+    count = 0
+    for variant, w, k, xi in instances(qbg):
+        if variant != "key":
+            continue
+        got = VERIFIERS[variant](qbg, w, k, xi)
+        assert shown(got) == shown(oracle_report(qbg, variant, w, k, xi))
+        inst = f"key-props w={window_str(w)} k={k}"
+        first, second = (verify._compare(inst, expand_combo(qbg, lhs), rhs, 0.0)
+                         for lhs, rhs in (verify.key_first_sides(qbg, w, k),
+                                          verify.key_second_sides(qbg, w, k)))
+        assert first.ok and not second.ok and not got.ok
+        assert got.residual == second.residual
+        count += 1
+    assert count == 144
+
+
 def test_no_rationals_on_the_verified_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a rational coefficient on the verified path")
