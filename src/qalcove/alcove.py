@@ -30,27 +30,28 @@ wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from operator import add
+from typing import Callable, NamedTuple
 
 from .qbg import QBG
 from .typec import (
     Vec,
     Window,
     coroot,
+    doubled,
     eps_vec,
     image,
     is_positive_root,
     letter_pos,
-    mul,
     pair,
     positive_roots,
-    refl_window,
     rho,
     root_abs,
     root_from_letters,
+    times_reflection,
     vec_neg,
     zero_vec,
 )
@@ -60,11 +61,13 @@ CHAIN_KINDS = ("gamma", "gamma_star", "theta", "theta_star", "eps", "eps_neg")
 
 @dataclass(frozen=True)
 class RootChain:
-    entries: tuple[Vec, ...]
+    # (kind, k, n) determines the chain, so the hash, taken on every walk
+    # cache lookup, skips the entries; equality still compares every field
+    entries: tuple[Vec, ...] = field(hash=False)
     kind: str
     k: int
     n: int
-    mu: Vec | None  # set only when the chain is a mu-chain
+    mu: Vec | None = field(hash=False)  # set only when the chain is a mu-chain
 
 
 @lru_cache(maxsize=None)
@@ -189,13 +192,10 @@ class AdmissibleSubset(NamedTuple):
     down: Vec
 
 
-# A walk state is (u, down): the current element and the running sum of
-# the coroots of quantum steps.
-_State = tuple[Window, Vec]
-
-# One precomputed move per chain position: (s_alpha, alpha^vee, the length
-# change of a quantum edge 1 - 2<rho, alpha^vee>).
-_Move = tuple[Window, Vec, int]
+# One precomputed move per chain position: (the product u -> u s_alpha,
+# read from ``doubled(u)``; alpha^vee; the length change 1 - 2<rho, alpha^vee>
+# of a quantum edge).
+_Move = tuple[Callable[[tuple[int, ...]], Window], Vec, int]
 
 
 @lru_cache(maxsize=None)
@@ -206,25 +206,8 @@ def chain_moves(chain: RootChain) -> tuple[_Move, ...]:
     for gamma in chain.entries:
         alpha = root_abs(gamma)
         av = coroot(alpha)
-        moves.append((refl_window(alpha), av, 1 - 2 * pair(r, av)))
+        moves.append((times_reflection(alpha), av, 1 - 2 * pair(r, av)))
     return tuple(moves)
-
-
-def _step(lengths: dict[Window, int], move: _Move, state: _State) -> _State | None:
-    """The state after taking one chain position, or None without an edge.
-
-    The edge test is that of ``QBG.edge_kind``; its product u s_alpha is
-    the next element.
-    """
-    u, down = state
-    s, av, q_diff = move
-    y = mul(u, s)
-    diff = lengths[y] - lengths[u]
-    if diff == q_diff:
-        return y, tuple(a + b for a, b in zip(down, av))
-    if diff == 1:
-        return y, down
-    return None
 
 
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
@@ -232,7 +215,9 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
 
     A preorder walk emits each subset, then extends it by every later
     position with an edge: one visit per subset, in position order with no
-    sort.  Results are memoized on (w, chain) inside the QBG instance.
+    sort.  The edge test is that of ``QBG.edge_kind``, on the product
+    ``QBG.target`` uses.  Results are memoized on (w, chain) inside the QBG
+    instance.
     """
     cache = qbg._adm_cache
     key = (w, chain)
@@ -245,33 +230,38 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     size = len(moves)
     out: list[AdmissibleSubset] = []
 
-    def rec(start, positions, state):
-        out.append(AdmissibleSubset(positions, *state))
+    def rec(start, positions, u, down):
+        out.append(AdmissibleSubset(positions, u, down))
+        d, lu = doubled(u), lengths[u]
         for i in range(start, size):
-            nxt = _step(lengths, moves[i], state)
-            if nxt is not None:
-                rec(i + 1, positions + (i + 1,), nxt)
+            prod, av, q_diff = moves[i]
+            y = prod(d)
+            diff = lengths[y] - lu
+            if diff == 1:
+                rec(i + 1, positions + (i + 1,), y, down)
+            elif diff == q_diff:
+                rec(i + 1, positions + (i + 1,), y, tuple(map(add, down, av)))
 
-    rec(0, (), (w, zero_vec(chain.n)))
+    rec(0, (), w, zero_vec(chain.n))
     cache[key] = out
     return out
 
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:
     """Endpoint and down of one subset, given by strictly increasing
-    positions, verifying admissibility along the way."""
+    positions, read from the walk of ``admissible_subsets``; ValueError if
+    the subset is not admissible."""
     positions = tuple(positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions {positions} do not strictly increase")
-    moves = chain_moves(chain)
-    state = (w, zero_vec(chain.n))
+    size = len(chain.entries)
     for p in positions:
-        if not 1 <= p <= len(moves):
-            raise ValueError(f"position {p} out of range 1..{len(moves)}")
-        state = _step(qbg.length, moves[p - 1], state)
-        if state is None:
-            raise ValueError(f"positions {positions} not admissible from {w}")
-    return AdmissibleSubset(positions, *state)
+        if not 1 <= p <= size:
+            raise ValueError(f"position {p} out of range 1..{size}")
+    for A in admissible_subsets(qbg, w, chain):
+        if A.positions == positions:
+            return A
+    raise ValueError(f"positions {positions} not admissible from {w}")
 
 
 def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset]:

@@ -35,6 +35,7 @@ only for a combination that is shown.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -53,6 +54,7 @@ from .typec import (
     Window,
     act,
     eps_vec,
+    image,
     letter_from_pos,
     letter_pos,
     pair,
@@ -154,13 +156,20 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansi
     return cache[key]
 
 
+@lru_cache(maxsize=None)
+def _eps_key(n: int, a: int) -> int:
+    """The packed monomial e^{eps_a} of a letter a, eps_{-a} meaning -eps_a."""
+    return pack(n, (0, zero_vec(n), eps_vec(a, n)))
+
+
 def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
     """The sum of ``chevalley_expand`` for mu = eps_t, counted per (end, key).
 
     The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
     q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
-    monomial x^{-down(B)} of B, added as one sum of packed keys.
-    ValueError if a key left the packed range.
+    monomial x^{-down(B)} of B, added as one sum of packed keys; ed(A_1) mu
+    is eps of the letter ed(A_1)(t).  ValueError if a key left the packed
+    range.
     """
     n = qbg.n
     mu, zero = eps_vec(t, n), zero_vec(n)
@@ -169,15 +178,19 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
     tail = _block_chain(-t, n)
     atom = t if t > 0 else -t - 1
     acc: dict[tuple[Window, int], int] = {}
+    x_keys: dict[Vec, int] = {}  # down(B) -> packed x^{-down(B)}
     seen = 0
     for A1 in admissible_subsets(qbg, w, head):
         off = (translation_key(mu, A1.down)
-               + pack(n, (0, zero, act(A1.end, mu))) - 2 * bias)
+               + _eps_key(n, image(A1.end, t)) - 2 * bias)
         for B in admissible_subsets(qbg, A1.end, tail):
-            p = off + translation_key(zero, B.down)  # see packed_words
+            x = x_keys.get(B.down)
+            if x is None:
+                x = x_keys[B.down] = translation_key(zero, B.down)
+            p = off + x  # see packed_words
             seen |= p
             entry = (B.end, p)
-            acc[entry] = acc.get(entry, 0) + _sign(len(B.positions))
+            acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
     check_packed(n, seen)
     kept = [(end, p, c) for (end, p), c in acc.items() if c]
     ends, keys, counts = zip(*kept) if kept else ((), (), ())

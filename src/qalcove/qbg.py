@@ -22,15 +22,15 @@ from .typec import (
     Vec,
     Window,
     coroot,
+    doubled,
     length,
     letter_from_pos,
     letter_pos,
-    mul,
     pair,
     positive_roots,
-    refl_window,
     root_from_letters,
     rho,
+    times_reflection,
     vec_add,
     weyl_group,
     zero_vec,
@@ -94,7 +94,8 @@ class QBG:
     # -- edges ---------------------------------------------------------
 
     def target(self, w: Window, alpha: Vec) -> Window:
-        return mul(w, refl_window(alpha))
+        """w s_alpha, by the product the admissible-subset walk uses."""
+        return times_reflection(alpha)(doubled(w))
 
     def edge_kind(self, w: Window, alpha: Vec) -> str | None:
         """'B', 'Q', or None for the would-be edge w -> w s_alpha."""

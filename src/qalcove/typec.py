@@ -25,8 +25,10 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter, neg
 
 Vec = tuple[int, ...]
 Window = tuple[int, ...]
@@ -223,6 +225,30 @@ def refl_window(alpha: Vec) -> Window:
         (m, c), = nz
         out.append(m if c > 0 else -m)
     return tuple(out)
+
+
+def doubled(u: Window) -> tuple[int, ...]:
+    """The images u(1), .., u(n), u(-n), .., u(-1) of every letter.
+
+    The image of a letter a > 0 sits at index a - 1 and that of a < 0 at
+    index 2n + a, the indices ``times_reflection`` reads.
+    """
+    return u + tuple(map(neg, u[::-1]))
+
+
+@lru_cache(maxsize=None)
+def times_reflection(alpha: Vec) -> Callable[[tuple[int, ...]], Window]:
+    """The map from ``doubled(u)`` to the window u s_alpha.
+
+    (u s_alpha)(i) = u(s_alpha(i)), so it picks one index per entry and
+    builds the product with no loop in Python.
+    """
+    n = len(alpha)
+    idx = [a - 1 if a > 0 else 2 * n + a for a in refl_window(alpha)]
+    if n == 1:  # an itemgetter of one index returns the entry, not a tuple
+        i, = idx
+        return lambda d: (d[i],)
+    return itemgetter(*idx)
 
 
 def length(w: Window) -> int:

@@ -155,7 +155,11 @@ def test_criterion_3_exhaustive_verification(qbg2, qbg3):
     tasks = [(variant, w, m, zero_vec(4))
              for w, m in rng.sample(pairs, 200)
              for variant in ("first", "second", "key")]
-    workers = min(8, os.cpu_count() or 1)  # more workers than cores only slow it
+    # more workers than usable CPUs only slow it; an affinity mask can allow
+    # fewer CPUs than the host has, so size the pool as `qalcove verify` does
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(8, cpus)
     with mp.Pool(workers, initializer=_init_worker, initargs=(4,)) as pool:
         reports = pool.map(_run_instance, tasks, chunksize=8)
     bad = [r.instance for r in reports if not r.ok]

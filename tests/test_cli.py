@@ -68,6 +68,17 @@ def test_verify_rank2_sweep_passes(capsys):
     assert out.strip().splitlines()[-1].startswith("48/48 verified")
 
 
+@pytest.mark.parametrize("variant, count", [
+    (None, 6), ("first", 2), ("second", 2), ("key", 2), ("cf", 2),
+    ("first,second,key,cf", 8)])
+def test_verify_rank1_passes(variant, count, capsys):
+    # at rank 1 a reflection product has one entry, still a 1-tuple
+    argv = ["verify", "--rank", "1"] + (["--variant", variant] if variant else [])
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith(f"{count}/{count} verified")
+
+
 def test_verify_json_single_instance(capsys):
     code, out, _ = run(
         ["verify", "--rank", "2", "--w", "s1", "--m", "1",
@@ -349,6 +360,13 @@ def test_expand_direct_form(capsys):
     assert len(lines) == 4
     assert all("(lam)" in ln for ln in lines)
     assert any("V[2,1](lam)" in ln for ln in lines)
+
+
+def test_expand_rank1_direct_form(capsys):
+    code, out, _ = run(["expand", "--rank", "1", "--w", "e", "--k", "1"], capsys)
+    assert code == 0
+    assert out == ("((e[-1]) / ((1 - q^-1*x1^-1))) * V[-1](lam)\n"
+                   "((e[1]) / ((1 - q^-1*x1^-1))) * V[1](lam)\n")
 
 
 def test_expand_conj_latex_term_count(capsys):

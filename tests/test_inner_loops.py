@@ -1,12 +1,19 @@
-"""The three inner loops against the code they replaced: the closed-form Weyl
-length, the walk over precomputed chain moves and packed monomial keys."""
+"""The inner loops against the code they replaced: the closed-form Weyl
+length, the walk over precomputed reflection products and packed monomial
+keys, and the chain hash the walk cache takes."""
 
 import random
 
 import pytest
 
 from helpers import normalize, oracle_subsets, root_count_length
-from qalcove.alcove import CHAIN_KINDS, admissible_subsets, make_chain, subset_stats
+from qalcove.alcove import (
+    CHAIN_KINDS,
+    RootChain,
+    admissible_subsets,
+    make_chain,
+    subset_stats,
+)
 from qalcove.qbg import QBG
 from qalcove.ring import (
     EXP_MAX,
@@ -15,7 +22,16 @@ from qalcove.ring import (
     pack,
     unpack,
 )
-from qalcove.typec import length, vec_add, weyl_group
+from qalcove.typec import (
+    doubled,
+    length,
+    mul,
+    positive_roots,
+    refl_window,
+    times_reflection,
+    vec_add,
+    weyl_group,
+)
 
 # -- Weyl length -------------------------------------------------------------
 
@@ -32,6 +48,17 @@ def test_length_matches_root_count_on_rank6_sample():
         p = rng.sample(range(1, 7), 6)
         w = tuple(a * rng.choice((1, -1)) for a in p)
         assert length(w) == root_count_length(w), w
+
+
+# -- reflection products ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reflection_product_matches_mul_exhaustively(n):
+    for alpha in positive_roots(n):
+        prod, s = times_reflection(alpha), refl_window(alpha)
+        for u in weyl_group(n):
+            assert prod(doubled(u)) == mul(u, s), (alpha, u)
 
 
 # -- admissible subsets --------------------------------------------------------
@@ -58,6 +85,11 @@ def test_admissible_subsets_match_oracle_walk_on_rank4_sample(qbg4):
     _assert_walks_agree(qbg4, random.Random(4).sample(qbg4.group, 16))
 
 
+def test_admissible_subsets_match_oracle_walk_on_rank5_sample():
+    qbg = QBG(5)
+    _assert_walks_agree(qbg, random.Random(5).sample(qbg.group, 16))
+
+
 @pytest.mark.parametrize("positions", [(0,), (-1,), (2, 4)])
 def test_subset_stats_rejects_positions_outside_the_chain(qbg3, positions):
     # Theta_3 has positions 1 and 2; 0 and -1 must not wrap to the end
@@ -69,6 +101,29 @@ def test_subset_stats_rejects_positions_outside_the_chain(qbg3, positions):
 def test_subset_stats_rejects_positions_that_do_not_increase(qbg3, positions):
     with pytest.raises(ValueError, match="strictly increase"):
         subset_stats(qbg3, (1, 2, 3), make_chain("gamma", 1, 3), positions)
+
+
+# -- chain keys ----------------------------------------------------------------
+
+
+def test_chain_hash_depends_only_on_kind_k_n():
+    for kind in CHAIN_KINDS:
+        chain = make_chain(kind, 2, 3)
+        assert hash(chain) == hash((kind, 2, 3))
+        other = RootChain((), kind, 2, 3, (1, 0, 0))
+        assert hash(other) == hash(chain)
+        assert other != chain  # equality still compares the entries and mu
+
+
+def test_equal_chains_compare_and_hash_equal(qbg4):
+    w = (2, -4, 1, 3)
+    for kind in CHAIN_KINDS:
+        chain = make_chain(kind, 3, 4)
+        copy = RootChain(tuple(chain.entries), chain.kind, chain.k, chain.n, chain.mu)
+        assert copy is not chain
+        assert copy == chain and hash(copy) == hash(chain)
+        # so a chain built anew finds the walk cached under make_chain's
+        assert admissible_subsets(qbg4, w, copy) is admissible_subsets(qbg4, w, chain)
 
 
 # -- packed monomials ----------------------------------------------------------

@@ -1,0 +1,36 @@
+"""The admissible-subset walk has one stepping code and no window product.
+
+``alcove.admissible_subsets`` steps by the precomputed reflection products
+of ``chain_moves`` on doubled windows, and ``subset_stats`` reads its
+subsets from that walk.  A call to ``typec.mul`` in ``alcove.py`` would
+bring a window product back into the walk, and a ``_step`` function a
+second way to step.
+"""
+
+import ast
+from pathlib import Path
+
+ALCOVE = Path(__file__).resolve().parent.parent / "src" / "qalcove" / "alcove.py"
+
+
+def _names():
+    imported, called, defined = set(), set(), set()
+    for node in ast.walk(ast.parse(ALCOVE.read_text(), filename=str(ALCOVE))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called.add(getattr(func, "id", None) or getattr(func, "attr", None))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+    return imported, called, defined
+
+
+def test_walk_has_no_window_product_and_one_step():
+    imported, called, defined = _names()
+    # the guard sees what the walk does use
+    assert "times_reflection" in imported and "doubled" in called
+    assert {"admissible_subsets", "rec", "subset_stats"} <= defined
+    assert "mul" not in imported
+    assert "mul" not in called
+    assert "_step" not in defined
