@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .qbg import QBG
+from .qbg import QBG, Move, move
 from .typec import (
     Vec,
     Window,
@@ -46,12 +46,9 @@ from .typec import (
     image,
     is_positive_root,
     letter_pos,
-    pair,
     positive_roots,
-    rho,
     root_abs,
     root_from_letters,
-    times_reflection,
     vec_neg,
     zero_vec,
 )
@@ -192,22 +189,10 @@ class AdmissibleSubset(NamedTuple):
     down: Vec
 
 
-# One precomputed move per chain position: (the product u -> u s_alpha,
-# read from ``doubled(u)``; alpha^vee; the length change 1 - 2<rho, alpha^vee>
-# of a quantum edge).
-_Move = tuple[Callable[[tuple[int, ...]], Window], Vec, int]
-
-
 @lru_cache(maxsize=None)
-def chain_moves(chain: RootChain) -> tuple[_Move, ...]:
-    """The moves of the chain's positions, with every root datum computed once."""
-    r = rho(chain.n)
-    moves = []
-    for gamma in chain.entries:
-        alpha = root_abs(gamma)
-        av = coroot(alpha)
-        moves.append((times_reflection(alpha), av, 1 - 2 * pair(r, av)))
-    return tuple(moves)
+def chain_moves(chain: RootChain) -> tuple[Move, ...]:
+    """The ``qbg.move`` of each chain position's root |gamma|."""
+    return tuple(move(root_abs(gamma)) for gamma in chain.entries)
 
 
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
@@ -215,9 +200,9 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
 
     A preorder walk emits each subset, then extends it by every later
     position with an edge: one visit per subset, in position order with no
-    sort.  The edge test is that of ``QBG.edge_kind``, on the product
-    ``QBG.target`` uses.  Results are memoized on (w, chain) inside the QBG
-    instance.
+    sort.  A step reads its position's ``qbg.move``, the same data
+    ``QBG.edge_kind`` and ``QBG.target`` read, and tests the edge inline.
+    Results are memoized on (w, chain) inside the QBG instance.
     """
     cache = qbg._adm_cache
     key = (w, chain)

@@ -6,17 +6,26 @@ edge w -> w s_alpha when either
 * (Bruhat)   len(w s_alpha) = len(w) + 1, or
 * (quantum)  len(w s_alpha) = len(w) - 2 <rho, alpha^vee> + 1.
 
+``move(alpha)`` computes once per root what these tests need: the product
+w -> w s_alpha, alpha^vee and the quantum length change.  ``QBG.edge_kind``,
+``QBG.target`` and the admissible-subset walk of ``alcove`` all read it.
+
 Edges are labelled by the positive root and the kind 'B' or 'Q'; the weight
-of a directed path is the sum of alpha^vee over its quantum edges.
+of a directed path is the sum of alpha^vee over its quantum edges, carried
+on the ``DirectedPath`` as it is built.
 
 Letters of the window alphabet {1..n, -n..-1} ("barred" = negative) are
 ordered 1 < ... < n < -n < ... < -1; ``p_path`` builds the paths whose
 labels decrease in that order, which the cancellation-free expansions use.
+The label of a step from the letter a to an earlier letter k is always the
+root (k, a) of ``typec.root_from_letters``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .typec import (
     Vec,
@@ -28,8 +37,8 @@ from .typec import (
     letter_pos,
     pair,
     positive_roots,
-    root_from_letters,
     rho,
+    root_from_letters,
     times_reflection,
     vec_add,
     weyl_group,
@@ -37,30 +46,16 @@ from .typec import (
 )
 
 
-def gamma_label(l: int, k: int, n: int) -> Vec:
-    """Positive root gamma_{lbar,k} joining the barred letter -l to a letter k.
-
-    For k = 1..l it is (k, lbar) = eps_k + eps_l (= 2eps_l at k = l); for
-    unbarred k = l+1..n it is (l, kbar) = eps_l + eps_k; for barred k = -p
-    with p = l+1..n it is (l, p) = eps_l - eps_p.
-    """
-    if k > 0:
-        if k <= l:
-            return root_from_letters(k, -l, n)
-        return root_from_letters(l, -k, n)
-    p = -k
-    if not l < p <= n:
-        raise ValueError(f"no label from -{l} to {k}")
-    return root_from_letters(l, p, n)
+Move = tuple[Callable[[tuple[int, ...]], Window], Vec, int]
 
 
-def path_weight(steps, n: int) -> Vec:
-    """Sum of alpha^vee over the quantum steps of [(alpha, kind), ...]."""
-    acc = zero_vec(n)
-    for alpha, kind in steps:
-        if kind == "Q":
-            acc = vec_add(acc, coroot(alpha))
-    return acc
+@lru_cache(maxsize=None)
+def move(alpha: Vec) -> Move:
+    """Everything an edge along the positive root alpha needs, computed once:
+    the product ``doubled(u) -> u s_alpha``, alpha^vee, and the length change
+    1 - 2<rho, alpha^vee> of a quantum edge."""
+    av = coroot(alpha)
+    return times_reflection(alpha), av, 1 - 2 * pair(rho(len(alpha)), av)
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,7 @@ class DirectedPath:
     start: Window
     steps: tuple[tuple[Vec, str], ...]  # (positive root, 'B' or 'Q')
     end: Window
-
-    @property
-    def weight(self) -> Vec:
-        return path_weight(self.steps, len(self.start))
+    weight: Vec  # sum of alpha^vee over the quantum steps
 
 
 class QBG:
@@ -82,8 +74,6 @@ class QBG:
         self.group = weyl_group(n)
         self.pos_roots = positive_roots(n)
         self.length = {w: length(w) for w in self.group}
-        r = rho(n)
-        self.rho_pair = {a: pair(r, coroot(a)) for a in self.pos_roots}
         self._edges_from: dict[Window, list[tuple[Vec, str, Window]]] = {}
         # memo tables of the alcove and expansions layers, keyed by element
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
@@ -95,15 +85,15 @@ class QBG:
 
     def target(self, w: Window, alpha: Vec) -> Window:
         """w s_alpha, by the product the admissible-subset walk uses."""
-        return times_reflection(alpha)(doubled(w))
+        return move(alpha)[0](doubled(w))
 
     def edge_kind(self, w: Window, alpha: Vec) -> str | None:
         """'B', 'Q', or None for the would-be edge w -> w s_alpha."""
-        y = self.target(w, alpha)
-        diff = self.length[y] - self.length[w]
+        prod, _, q_diff = move(alpha)
+        diff = self.length[prod(doubled(w))] - self.length[w]
         if diff == 1:
             return "B"
-        if diff == 1 - 2 * self.rho_pair[alpha]:
+        if diff == q_diff:
             return "Q"
         return None
 
@@ -123,41 +113,34 @@ class QBG:
     def p_path(self, w: Window, src: int, dst: int) -> DirectedPath:
         """Directed path from w selected by greedy minimal next letter.
 
-        src/dst are letters (negative = barred).  For unbarred src = l the
-        labels are (k, l) with dst <= k < l and the path exists whenever
-        1 <= dst <= l.  For barred src = -l the first label is gamma_{lbar,k}
-        with dst <= k <= -(l+1) (reading -(n+1) as n), and the walk continues
-        from the letter k.  Each step takes the minimal admissible k, which
-        always exists because the last candidate label is a simple root.
+        src/dst are letters (negative = barred).  From the letter a the
+        candidate labels are the roots (k, a) = ``root_from_letters(k, a)``
+        for the letters dst <= k < a, tried in increasing letter order; the
+        first that gives an edge is taken and the walk continues from k.
+        For a barred a = -l the label (k, -l) is gamma_{lbar,k}.  The path
+        exists for unbarred src whenever 1 <= dst <= src, and for barred src
+        whenever dst < src; the last candidate label is a simple root, so
+        some step always exists.
         """
         n = self.n
-        if src > 0:
-            if not 1 <= dst <= src:
-                raise ValueError(f"need 1 <= dst <= src, got {src=} {dst=}")
-        else:
-            bound = 2 * n - (-src)
-            if not letter_pos(dst, n) <= bound:
-                raise ValueError(f"dst {dst} out of range for barred src {src}")
+        lo = letter_pos(dst, n)
+        if not (0 < abs(src) <= n and 0 < abs(dst) <= n
+                and (lo <= src if src > 0 else lo < letter_pos(src, n))):
+            raise ValueError(f"need letters in +-1..+-{n} with dst <= src, "
+                             f"dst < src for a barred src; got {src=} {dst=}")
         steps: list[tuple[Vec, str]] = []
-        cur, letter = w, src
+        cur, letter, weight = w, src, zero_vec(n)
         while letter != dst:
-            if letter > 0:
-                candidates = [
-                    (root_from_letters(k, letter, n), k) for k in range(dst, letter)
-                ]
-            else:
-                l = -letter
-                candidates = [
-                    (gamma_label(l, letter_from_pos(p, n), n), letter_from_pos(p, n))
-                    for p in range(letter_pos(dst, n), 2 * n - l + 1)
-                ]
-            for alpha, k in candidates:
+            for p in range(lo, letter_pos(letter, n)):
+                k = letter_from_pos(p, n)
+                alpha = root_from_letters(k, letter, n)
                 kind = self.edge_kind(cur, alpha)
                 if kind:
-                    steps.append((alpha, kind))
-                    cur = self.target(cur, alpha)
-                    letter = k
                     break
             else:
                 raise AssertionError(f"no admissible step from {cur} at letter {letter}")
-        return DirectedPath(w, tuple(steps), cur)
+            steps.append((alpha, kind))
+            if kind == "Q":
+                weight = vec_add(weight, move(alpha)[1])
+            cur, letter = self.target(cur, alpha), k
+        return DirectedPath(w, tuple(steps), cur, weight)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter, neg
+from operator import add, itemgetter, neg, sub
 
 Vec = tuple[int, ...]
 Window = tuple[int, ...]
@@ -37,11 +37,15 @@ Window = tuple[int, ...]
 # --- vectors ---------------------------------------------------------------
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(u: Vec) -> Vec:

@@ -183,6 +183,70 @@ def assert_criterion_matches(qbg, group=None):
             assert (qbg.edge_kind(w, a) is not None) == criterion_edge(qbg, w, a), (w, a)
 
 
+# --- oracles for the graph layer, in the paper's notation ------------------
+
+def gamma_label(l, k, n):
+    """Positive root gamma_{lbar,k} joining the barred letter -l to a letter k.
+
+    For k = 1..l it is (k, lbar) = eps_k + eps_l (= 2eps_l at k = l); for
+    unbarred k = l+1..n it is (l, kbar) = eps_l + eps_k; for barred k = -p
+    with p = l+1..n it is (l, p) = eps_l - eps_p.
+    """
+    if k > 0:
+        if k <= l:
+            return root_from_letters(k, -l, n)
+        return root_from_letters(l, -k, n)
+    p = -k
+    if not l < p <= n:
+        raise ValueError(f"no label from -{l} to {k}")
+    return root_from_letters(l, p, n)
+
+
+def path_weight(steps, n):
+    """Sum of alpha^vee over the quantum steps of [(alpha, kind), ...]."""
+    acc = zero_vec(n)
+    for alpha, kind in steps:
+        if kind == "Q":
+            acc = vec_add(acc, coroot(alpha))
+    return acc
+
+
+def oracle_p_path(qbg, w, src, dst):
+    """The greedy label-decreasing path as ``QBG.p_path`` built it with one
+    branch per sign of the current letter, the barred one through
+    ``gamma_label``, every candidate label listed up front."""
+    n = qbg.n
+    steps = []
+    cur, letter = w, src
+    while letter != dst:
+        if letter > 0:
+            candidates = [(root_from_letters(k, letter, n), k) for k in range(dst, letter)]
+        else:
+            l = -letter
+            candidates = [
+                (gamma_label(l, letter_from_pos(p, n), n), letter_from_pos(p, n))
+                for p in range(letter_pos(dst, n), 2 * n - l + 1)
+            ]
+        for alpha, k in candidates:
+            kind = qbg.edge_kind(cur, alpha)
+            if kind:
+                steps.append((alpha, kind))
+                cur = qbg.target(cur, alpha)
+                letter = k
+                break
+        else:
+            raise AssertionError(f"no admissible step from {cur} at letter {letter}")
+    return DirectedPath(w, tuple(steps), cur, path_weight(steps, n))
+
+
+def p_path_letters(n):
+    """Every (src, dst) that ``QBG.p_path`` accepts at rank n."""
+    letters = [letter_from_pos(p, n) for p in range(1, 2 * n + 1)]
+    return [(src, dst) for src in letters for dst in letters
+            if (1 <= dst <= src if src > 0
+                else letter_pos(dst, n) < letter_pos(src, n))]
+
+
 # --- oracles kept from the code the inner loops replaced ---------------------
 
 def root_count_length(w):
@@ -346,7 +410,7 @@ def shortest_paths(qbg, u, v):
 
     def extend(x, acc):
         if x == v:
-            out.append(DirectedPath(u, tuple(acc), v))
+            out.append(DirectedPath(u, tuple(acc), v, path_weight(acc, qbg.n)))
             return
         for a, kind, y in qbg.edges_from(x):
             if dist.get(y, -2) == dist[x] - 1:

@@ -1,5 +1,7 @@
 """Quantum Bruhat graph: edges, criterion, letter paths, geodesics."""
 
+import random
+
 import pytest
 
 from helpers import (
@@ -10,13 +12,23 @@ from helpers import (
     assert_filtered_structure,
     assert_minimum,
     assert_shortest_weights_unique,
+    gamma_label,
+    oracle_p_path,
+    p_path_letters,
+    path_weight,
     shortest_paths,
 )
-from qalcove.qbg import gamma_label, path_weight
+from qalcove.qbg import move
 from qalcove.typec import (
+    coroot,
     identity_w,
+    pair,
     parse_word,
+    positive_roots,
+    rho,
+    root_from_letters,
     simple_root,
+    times_reflection,
 )
 
 
@@ -43,7 +55,7 @@ def test_edge_length_conditions(qbg2):
             if kind == "B":
                 assert qbg2.length[y] == qbg2.length[w] + 1
             else:
-                assert qbg2.length[y] == qbg2.length[w] + 1 - 2 * qbg2.rho_pair[a]
+                assert qbg2.length[y] == qbg2.length[w] + 1 - 2 * pair(rho(2), coroot(a))
 
 
 def test_criterion_matches_rank2(qbg2):
@@ -67,6 +79,41 @@ def test_gamma_label():
     assert gamma_label(2, 1, 3) == (1, 1, 0)
     with pytest.raises(ValueError):
         gamma_label(2, -2, 3)
+
+
+def test_move_matches_its_definition():
+    for n in range(1, 7):
+        for a in positive_roots(n):
+            # the product itself is checked against mul in test_inner_loops
+            assert move(a) == (times_reflection(a), coroot(a),
+                               1 - 2 * pair(rho(n), coroot(a)))
+
+
+def test_label_rule_is_gamma_label_ranks_1_to_6():
+    # the label from the barred letter -l to an earlier letter k is (k, -l)
+    for n in range(1, 7):
+        for l in range(1, n + 1):
+            ks = list(range(1, n + 1)) + [-p for p in range(l + 1, n + 1)]
+            for k in ks:
+                assert root_from_letters(k, -l, n) == gamma_label(l, k, n), (n, l, k)
+
+
+def _assert_p_path_matches_oracle(qbg, group):
+    for w in group:
+        for src, dst in p_path_letters(qbg.n):
+            assert qbg.p_path(w, src, dst) == oracle_p_path(qbg, w, src, dst), (w, src, dst)
+
+
+def test_p_path_matches_oracle_rank2(qbg2):
+    _assert_p_path_matches_oracle(qbg2, qbg2.group)
+
+
+def test_p_path_matches_oracle_rank3(qbg3):
+    _assert_p_path_matches_oracle(qbg3, qbg3.group)
+
+
+def test_p_path_matches_oracle_rank4_sampled(qbg4):
+    _assert_p_path_matches_oracle(qbg4, random.Random(4).sample(qbg4.group, 48))
 
 
 def test_p_path_unbarred(qbg3):
@@ -111,15 +158,33 @@ def test_p_path_barred(qbg3):
 
 
 def test_p_path_rejects_bad_ranges(qbg3):
-    with pytest.raises(ValueError):
-        qbg3.p_path(identity_w(3), 2, 3)
-    with pytest.raises(ValueError):
-        qbg3.p_path(identity_w(3), -2, -1)
+    # dst after src, a barred dst equal to src, and letters outside +-1..+-3;
+    # the message names both letters
+    for src, dst in ((2, 3), (-2, -1), (-2, -2), (-2, 4), (4, 1), (-4, 1),
+                     (-2, -4), (0, 1), (1, 0), (3, -4)):
+        with pytest.raises(ValueError, match=f"src={src} dst={dst}"):
+            qbg3.p_path(identity_w(3), src, dst)
+    # an unbarred dst equal to src is the empty path
+    p = qbg3.p_path(identity_w(3), 2, 2)
+    assert p.steps == () and p.end == identity_w(3) and p.weight == (0, 0, 0)
+
+
+def test_p_path_rejects_exactly_the_letters_it_cannot_join(qbg2):
+    valid = set(p_path_letters(2))
+    for src in range(-3, 4):
+        for dst in range(-3, 4):
+            if (src, dst) in valid:
+                qbg2.p_path(identity_w(2), src, dst)
+            else:
+                with pytest.raises(ValueError):
+                    qbg2.p_path(identity_w(2), src, dst)
 
 
 def test_p_path_weight_helper(qbg3):
-    p = qbg3.p_path((3, 2, 1), 3, 1)
-    assert path_weight(p.steps, 3) == p.weight
+    for w in qbg3.group:
+        for src, dst in p_path_letters(3):
+            p = qbg3.p_path(w, src, dst)
+            assert path_weight(p.steps, 3) == p.weight, (w, src, dst)
     assert path_weight((), 3) == (0, 0, 0)
 
 

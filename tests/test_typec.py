@@ -29,11 +29,23 @@ from qalcove.typec import (
     root_str,
     simple_refl,
     simple_root,
+    vec_add,
+    vec_sub,
     w_from_word,
     weyl_group,
     window_str,
     word_str,
 )
+
+
+def test_vec_add_and_sub():
+    assert vec_add((1, -2, 0), (3, 2, -1)) == (4, 0, -1)
+    assert vec_sub((1, -2, 0), (3, 2, -1)) == (-2, -4, 1)
+    assert vec_add((), ()) == ()
+    for f in (vec_add, vec_sub):
+        for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (0,))):
+            with pytest.raises(ValueError, match="lengths"):
+                f(u, v)
 
 
 def test_pairings_rank3():
