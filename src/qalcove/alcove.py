@@ -40,6 +40,7 @@ from .qbg import QBG, Move, move
 from .typec import (
     Vec,
     Window,
+    check_letters,
     coroot,
     doubled,
     eps_vec,
@@ -201,7 +202,7 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     A preorder walk emits each subset, then extends it by every later
     position with an edge: one visit per subset, in position order with no
     sort.  A step reads its position's ``qbg.move``, the same data
-    ``QBG.edge_kind`` and ``QBG.target`` read, and tests the edge inline.
+    ``QBG.edge`` reads, and tests the edge inline.
     Results are memoized on (w, chain) inside the QBG instance.
     """
     cache = qbg._adm_cache
@@ -260,6 +261,7 @@ def filtered_A(qbg: QBG, w: Window, src: int, dst: int) -> list[AdmissibleSubset
     ed(A) eps_dst, so no window is inverted or multiplied.
     """
     n = qbg.n
+    check_letters(n, src, dst)
     if src > 0:
         if not 1 <= dst < src:
             raise ValueError(f"need 1 <= dst < src, got {src=} {dst=}")

@@ -53,6 +53,7 @@ from .typec import (
     Vec,
     Window,
     act,
+    check_letters,
     eps_vec,
     image,
     letter_from_pos,
@@ -296,6 +297,7 @@ def chained_sum(qbg: QBG, w: Window, src: int, dst: int) -> ChainedSum:
     if hit is not None:
         return hit
     n = qbg.n
+    check_letters(n, src, dst)
     ps, pd = letter_pos(src, n), letter_pos(dst, n)
     if pd > ps:
         raise ValueError(f"dst {dst} must not follow src {src}")

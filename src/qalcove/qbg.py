@@ -7,8 +7,9 @@ edge w -> w s_alpha when either
 * (quantum)  len(w s_alpha) = len(w) - 2 <rho, alpha^vee> + 1.
 
 ``move(alpha)`` computes once per root what these tests need: the product
-w -> w s_alpha, alpha^vee and the quantum length change.  ``QBG.edge_kind``,
-``QBG.target`` and the admissible-subset walk of ``alcove`` all read it.
+w -> w s_alpha, alpha^vee and the quantum length change.  ``QBG.edge``
+(the kind and w s_alpha from one product) and the admissible-subset walk
+of ``alcove`` read it.
 
 Edges are labelled by the positive root and the kind 'B' or 'Q'; the weight
 of a directed path is the sum of alpha^vee over its quantum edges, carried
@@ -30,6 +31,7 @@ from functools import lru_cache
 from .typec import (
     Vec,
     Window,
+    check_letters,
     coroot,
     doubled,
     length,
@@ -83,28 +85,26 @@ class QBG:
 
     # -- edges ---------------------------------------------------------
 
-    def target(self, w: Window, alpha: Vec) -> Window:
-        """w s_alpha, by the product the admissible-subset walk uses."""
-        return move(alpha)[0](doubled(w))
+    def edge(self, w: Window, alpha: Vec) -> tuple[str | None, Window]:
+        """('B', 'Q' or None, w s_alpha) for the would-be edge w -> w s_alpha,
+        from one product."""
+        prod, _, q_diff = move(alpha)
+        v = prod(doubled(w))
+        diff = self.length[v] - self.length[w]
+        return ("B" if diff == 1 else "Q" if diff == q_diff else None), v
 
     def edge_kind(self, w: Window, alpha: Vec) -> str | None:
         """'B', 'Q', or None for the would-be edge w -> w s_alpha."""
-        prod, _, q_diff = move(alpha)
-        diff = self.length[prod(doubled(w))] - self.length[w]
-        if diff == 1:
-            return "B"
-        if diff == q_diff:
-            return "Q"
-        return None
+        return self.edge(w, alpha)[0]
 
     def edges_from(self, w: Window) -> list[tuple[Vec, str, Window]]:
         out = self._edges_from.get(w)
         if out is None:
             out = []
             for a in self.pos_roots:
-                kind = self.edge_kind(w, a)
+                kind, v = self.edge(w, a)
                 if kind:
-                    out.append((a, kind, self.target(w, a)))
+                    out.append((a, kind, v))
             self._edges_from[w] = out
         return out
 
@@ -123,18 +123,18 @@ class QBG:
         some step always exists.
         """
         n = self.n
+        check_letters(n, src, dst)
         lo = letter_pos(dst, n)
-        if not (0 < abs(src) <= n and 0 < abs(dst) <= n
-                and (lo <= src if src > 0 else lo < letter_pos(src, n))):
-            raise ValueError(f"need letters in +-1..+-{n} with dst <= src, "
-                             f"dst < src for a barred src; got {src=} {dst=}")
+        if not (lo <= src if src > 0 else lo < letter_pos(src, n)):
+            raise ValueError(f"need dst <= src, dst < src for a barred src; "
+                             f"got {src=} {dst=}")
         steps: list[tuple[Vec, str]] = []
         cur, letter, weight = w, src, zero_vec(n)
         while letter != dst:
             for p in range(lo, letter_pos(letter, n)):
                 k = letter_from_pos(p, n)
                 alpha = root_from_letters(k, letter, n)
-                kind = self.edge_kind(cur, alpha)
+                kind, nxt = self.edge(cur, alpha)
                 if kind:
                     break
             else:
@@ -142,5 +142,5 @@ class QBG:
             steps.append((alpha, kind))
             if kind == "Q":
                 weight = vec_add(weight, move(alpha)[1])
-            cur, letter = self.target(cur, alpha), k
+            cur, letter = nxt, k
         return DirectedPath(w, tuple(steps), cur, weight)

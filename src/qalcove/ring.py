@@ -14,7 +14,7 @@ biased by FIELD_BIAS and topped by a guard bit that every stored key
 keeps clear; the q-exponent is the unbounded signed part above them, so
 integer order of keys is the order of the (q, x, nu) tuples.  A field
 that would leave EXP_MIN..EXP_MAX raises ValueError and never wraps.
-Only rendering, sorting and ``terms`` decode keys.
+Only rendering and sorting decode keys.
 
 A ``RationalCoeff`` divides a Coeff by a product of distinct atoms
 1 - q^{-1} x_k^{-1} (the factor 1 - q^{-<lam+w_k, alpha_k^vee>} of the
@@ -32,12 +32,13 @@ is one packed monomial, ``translation_key``, which the summand folds of
 
 Sums are kept as integer buckets {(symbol, sorted atoms): {packed monomial:
 count}}: ``fold_into`` adds summands into them, and
-``expansions.expand_to_base`` adds the products of a Chevalley expansion.  An
-identity is decided on such buckets by ``cancels``, with no rational
-arithmetic: the buckets of a symbol are put over their common denominator
-by ``times_atom``, one packed subtraction per monomial.  A
-``DemazureCombo`` is built from buckets only to show a sum
-(``DemazureCombo.from_buckets`` reduces each nonzero bucket once).
+``expansions.expand_to_base`` adds the products of a Chevalley expansion.
+``over_common`` puts the buckets of a symbol over their common denominator
+by ``times_atom``, one packed subtraction per monomial, and is the one
+place a bucket is multiplied by an atom.  An identity is decided on such
+sums by ``cancels``, with no rational arithmetic.  A ``DemazureCombo`` is
+built from buckets only to show a sum: ``DemazureCombo.from_buckets``
+reduces each symbol's sum once.
 """
 
 from __future__ import annotations
@@ -118,29 +119,15 @@ class Coeff:
     """Sparse integer Laurent polynomial in q, x_1..x_n, e^nu.
 
     ``packed`` maps each monomial's packed int (see ``pack``) to its nonzero
-    coefficient; ``terms`` is the same polynomial keyed by (q, x, nu).  A
-    Coeff is never changed after it is built.
+    coefficient; zero counts are dropped when a Coeff is built, and it is
+    never changed after that.
     """
 
     __slots__ = ("n", "packed")
 
-    def __init__(self, n: int, terms: dict[TermKey, int] | None = None):
+    def __init__(self, n: int, packed: dict[int, int] | None = None):
         self.n = n
-        self.packed = {pack(n, k): c for k, c in (terms or {}).items() if c}
-
-    # -- constructors --
-
-    @classmethod
-    def from_packed(cls, n: int, packed: dict[int, int]) -> "Coeff":
-        out = cls.__new__(cls)
-        out.n = n
-        out.packed = {k: c for k, c in packed.items() if c}
-        return out
-
-    @property
-    def terms(self) -> dict[TermKey, int]:
-        n = self.n
-        return {unpack(n, k): c for k, c in self.packed.items()}
+        self.packed = {k: c for k, c in (packed or {}).items() if c}
 
     # -- ring operations --
 
@@ -148,13 +135,7 @@ class Coeff:
         out = dict(self.packed)
         for k, c in other.packed.items():
             out[k] = out.get(k, 0) + c
-        return Coeff.from_packed(self.n, out)
-
-    def __neg__(self) -> "Coeff":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
+        return Coeff(self.n, out)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         bias = packed_words(self.n)[0]
@@ -167,22 +148,13 @@ class Coeff:
                 seen |= k
                 out[k] = get(k, 0) + c1 * c2
         check_packed(self.n, seen)
-        return Coeff.from_packed(self.n, out)
-
-    def scale(self, c: int) -> "Coeff":
-        return Coeff.from_packed(self.n, {k: c * v for k, v in self.packed.items()})
+        return Coeff(self.n, out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Coeff) and self.n == other.n and self.packed == other.packed
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.packed.items()))))
-
     def is_zero(self) -> bool:
         return not self.packed
-
-    def __bool__(self) -> bool:
-        return bool(self.packed)
 
     # -- rendering --
 
@@ -211,12 +183,6 @@ class Coeff:
         return s[1:] if s.startswith("+") else s
 
     __repr__ = __str__
-
-
-def atom_coeff(n: int, k: int) -> Coeff:
-    """The denominator atom 1 - q^{-1} x_k^{-1}."""
-    xk = tuple(-1 if i == k else 0 for i in range(1, n + 1))
-    return Coeff(n, {(0, zero_vec(n), zero_vec(n)): 1, (-1, xk, zero_vec(n)): -1})
 
 
 def _atom_step(n: int, k: int) -> tuple[int, int]:
@@ -271,7 +237,7 @@ def divide_by_atom(c: Coeff, k: int) -> Coeff | None:
             if run:
                 key = base - j * step
                 out[key] = out.get(key, 0) + run
-    return Coeff.from_packed(n, out)
+    return Coeff(n, out)
 
 
 def _check_atoms(atoms: tuple[int, ...]):
@@ -308,22 +274,14 @@ class RationalCoeff:
         return self.numer.n
 
     def over(self, atoms) -> Coeff:
-        """The numerator written over ``atoms``, a superset of self.atoms."""
-        c = self.numer
-        for k in atoms:
-            if k not in self.atoms:
-                c = c * atom_coeff(self.n, k)
-        return c
+        """The numerator written over ``atoms``, a superset of self.atoms:
+        adding zero over ``atoms`` puts it over their union."""
+        _, numer = over_common(self.n, ((self.atoms, self.numer.packed), (atoms, {})))
+        return Coeff(self.n, numer)
 
     def __add__(self, other: "RationalCoeff") -> "RationalCoeff":
         atoms = tuple(sorted(set(self.atoms) | set(other.atoms)))
         return RationalCoeff(self.over(atoms) + other.over(atoms), atoms)
-
-    def __neg__(self) -> "RationalCoeff":
-        return RationalCoeff(-self.numer, self.atoms)
-
-    def __sub__(self, other: "RationalCoeff") -> "RationalCoeff":
-        return self + (-other)
 
     def __mul__(self, other) -> "RationalCoeff":
         if isinstance(other, Coeff):
@@ -371,32 +329,46 @@ def fold_into(n: int, acc: Buckets, entries, sign: int = 1) -> Buckets:
     return acc
 
 
-def cancels(n: int, acc: Buckets) -> bool:
-    """True iff the buckets sum to zero, each as count * monomial / prod(atoms).
+def over_common(n: int, parts) -> tuple[set[int], dict[int, int]]:
+    """(the union of the atoms, the sum over it) of (atoms, bucket) parts,
+    each standing for bucket / prod(atoms).
 
-    The buckets of one symbol sum to zero iff their numerators do over the
-    union of their atoms; ``times_atom`` multiplies each numerator by the
-    atoms its bucket lacks, with no division and no reduction.  A lone
-    nonzero bucket never cancels.  ValueError if an atom repeats in a
-    bucket or a product left the packed range.
+    ``times_atom`` multiplies each bucket by the atoms it lacks, with no
+    division and no reduction.  ValueError if a product left the packed
+    range.
     """
+    common = set().union(*(atoms for atoms, _ in parts))
+    total: dict[int, int] = {}
+    for atoms, bucket in parts:
+        for k in common.difference(atoms):
+            bucket = times_atom(n, bucket, k)
+        for key, c in bucket.items():
+            total[key] = total.get(key, 0) + c
+    return common, total
+
+
+def _by_symbol(acc: Buckets) -> dict[tuple, list]:
+    """The nonzero buckets of ``acc`` as (atoms, bucket) parts per symbol.
+    ValueError if an atom repeats in any bucket, a cancelling one too."""
     parts: dict[tuple, list] = {}
     for (sym, atoms), bucket in acc.items():
         if len(atoms) > 1:
             _check_atoms(atoms)
         if any(bucket.values()):
             parts.setdefault(sym, []).append((atoms, bucket))
-    for buckets in parts.values():
-        if len(buckets) == 1:
-            return False
-        common = set().union(*(atoms for atoms, _ in buckets))
-        total: dict[int, int] = {}
-        for atoms, bucket in buckets:
-            for k in common.difference(atoms):
-                bucket = times_atom(n, bucket, k)
-            for key, c in bucket.items():
-                total[key] = total.get(key, 0) + c
-        if any(total.values()):
+    return parts
+
+
+def cancels(n: int, acc: Buckets) -> bool:
+    """True iff the buckets sum to zero, each as count * monomial / prod(atoms).
+
+    The buckets of one symbol sum to zero iff their numerators do over the
+    union of their atoms (``over_common``).  A lone nonzero bucket never
+    cancels.  ValueError if an atom repeats in a bucket or a product left
+    the packed range.
+    """
+    for parts in _by_symbol(acc).values():
+        if len(parts) == 1 or any(over_common(n, parts)[1].values()):
             return False
     return True
 
@@ -433,45 +405,30 @@ class DemazureCombo:
     def from_buckets(cls, n: int, acc: Buckets) -> "DemazureCombo":
         """The reduced combination of integer buckets (see ``fold_into``).
 
-        Each bucket whose counts do not all cancel is reduced once through
-        ``RationalCoeff``, and ``add_term`` joins the buckets of a symbol.
-        A reduced form is unique, so this equals adding one entry at a
-        time.  A cancelling bucket is skipped, but a repeated atom in it
-        still raises ValueError.
+        The buckets of each symbol are added over the union of their atoms
+        (``over_common``, as ``cancels`` decides) and a nonzero sum is
+        reduced once through ``RationalCoeff``; a reduced form is unique,
+        so this equals adding one entry at a time.  A repeated atom raises
+        ValueError, also in a bucket that cancels.
         """
         out = cls(n)
-        for (key, atoms), bucket in acc.items():
-            if any(bucket.values()):
-                out.add_term(key, RationalCoeff(Coeff.from_packed(n, bucket), atoms))
-            else:
-                _check_atoms(atoms)
+        for sym, parts in _by_symbol(acc).items():
+            atoms, numer = over_common(n, parts)
+            if any(numer.values()):
+                out.terms[sym] = RationalCoeff(Coeff(n, numer), atoms)
         return out
 
-    def add_term(self, key: tuple[Window, Vec], rc: RationalCoeff):
-        cur = self.terms.get(key)
-        new = rc if cur is None else cur + rc
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    def __add__(self, other: "DemazureCombo") -> "DemazureCombo":
-        return self._plus(other, 1)
-
     def __sub__(self, other: "DemazureCombo") -> "DemazureCombo":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "DemazureCombo", s: int) -> "DemazureCombo":
-        """self + s * other, one ``folded`` entry per monomial."""
+        """self - other, one ``folded`` entry per monomial."""
         return DemazureCombo.folded(self.n, (
             ((key, rc.atoms), t, sign * c)
-            for combo, sign in ((self, 1), (other, s))
+            for combo, sign in ((self, 1), (other, -1))
             for key, rc in combo.terms.items() for t, c in rc.numer.packed.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DemazureCombo):
             return NotImplemented
-        return self.terms == other.terms  # add_term never stores a zero
+        return self.terms == other.terms  # from_buckets never stores a zero
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -167,6 +167,12 @@ def letter_pos(a: int, n: int) -> int:
     return a if a > 0 else 2 * n + 1 - (-a)
 
 
+def check_letters(n: int, src: int, dst: int):
+    """ValueError unless src and dst are both letters of +-1..+-n."""
+    if not (0 < abs(src) <= n and 0 < abs(dst) <= n):
+        raise ValueError(f"need letters in +-1..+-{n}, got {src=} {dst=}")
+
+
 def letter_from_pos(p: int, n: int) -> int:
     return p if p <= n else -(2 * n + 1 - p)
 

@@ -5,7 +5,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
-from qalcove import expansions
+from qalcove import expansions, verify
 from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
 from qalcove.qbg import DirectedPath
 from qalcove.ring import (
@@ -15,6 +15,7 @@ from qalcove.ring import (
     pack,
     packed_words,
     translation_key,
+    unpack,
 )
 from qalcove.typec import (
     act,
@@ -42,7 +43,7 @@ def _edge(qbg, w, i, j):
 
 
 def _tgt(qbg, w, i, j):
-    return qbg.target(w, root_from_letters(i, j, qbg.n))
+    return mul(w, refl_window(root_from_letters(i, j, qbg.n)))
 
 
 def assert_exchange(qbg, group=None):
@@ -231,7 +232,7 @@ def oracle_p_path(qbg, w, src, dst):
             kind = qbg.edge_kind(cur, alpha)
             if kind:
                 steps.append((alpha, kind))
-                cur = qbg.target(cur, alpha)
+                cur = mul(cur, refl_window(alpha))
                 letter = k
                 break
         else:
@@ -426,20 +427,20 @@ def specialize(c, lam):
     """Evaluate x_i = q^{<lam, alpha_i^vee>} at a concrete weight lam."""
     pairs = [pair(lam, simple_coroot(i, c.n)) for i in range(1, c.n + 1)]
     out = {}
-    for (q, x, nu), v in c.terms.items():
+    for (q, x, nu), v in terms_of(c).items():
         k = (q + sum(b * p for b, p in zip(x, pairs)), zero_vec(c.n), nu)
         out[k] = out.get(k, 0) + v
-    return Coeff(c.n, out)
+    return coeff(c.n, out)
 
 
 def shift_lambda(c, delta):
     """Substitute lam -> lam + delta, i.e. x_i -> q^{<delta,alpha_i^vee>} x_i."""
     pairs = [pair(delta, simple_coroot(i, c.n)) for i in range(1, c.n + 1)]
     out = {}
-    for (q, x, nu), v in c.terms.items():
+    for (q, x, nu), v in terms_of(c).items():
         k = (q + sum(b * p for b, p in zip(x, pairs)), x, nu)
         out[k] = out.get(k, 0) + v
-    return Coeff(c.n, out)
+    return coeff(c.n, out)
 
 
 def specialized_equal(a, b, lam):
@@ -451,9 +452,68 @@ def specialized_equal(a, b, lam):
     return all(specialize(rc.numer, lam).is_zero() for rc in (a - b).terms.values())
 
 
+def coeff(n, terms):
+    """The Coeff of a {(q, x, nu): count} dict."""
+    return Coeff(n, {pack(n, k): c for k, c in terms.items()})
+
+
+def terms_of(c):
+    """A Coeff as a {(q, x, nu): count} dict."""
+    return {unpack(c.n, k): v for k, v in c.packed.items()}
+
+
 def monomial(n, c=1, q=0, x=None, nu=None):
     """The one-term Coeff c q^q x^x e^nu."""
-    return Coeff.from_packed(n, {pack(n, (q, x or zero_vec(n), nu or zero_vec(n))): c})
+    return coeff(n, {(q, x or zero_vec(n), nu or zero_vec(n)): c})
+
+
+def neg(c):
+    """-c for a Coeff or a RationalCoeff; the library negates neither."""
+    if isinstance(c, RationalCoeff):
+        return RationalCoeff(neg(c.numer), c.atoms)
+    return Coeff(c.n, {k: -v for k, v in c.packed.items()})
+
+
+# --- the one-at-a-time fold: the oracle of ring.over_common ---------------
+
+
+def atom_coeff(n, k):
+    """The denominator atom 1 - q^{-1} x_k^{-1}."""
+    xk = tuple(-1 if i == k else 0 for i in range(1, n + 1))
+    return monomial(n) + monomial(n, -1, q=-1, x=xk)
+
+
+def over_oracle(rc, atoms):
+    """The numerator of rc written over ``atoms``, a superset of rc.atoms:
+    times ``atom_coeff`` by ``Coeff.__mul__`` for each atom rc lacks."""
+    c = rc.numer
+    for k in atoms:
+        if k not in rc.atoms:
+            c = c * atom_coeff(rc.n, k)
+    return c
+
+
+def add_term(combo, key, rc):
+    """Add the RationalCoeff rc to combo's coefficient of key: both over the
+    union of their atoms by ``over_oracle``, added, and reduced again; a
+    zero sum drops the key."""
+    cur = combo.terms.get(key)
+    if cur is not None:
+        atoms = tuple(sorted(set(cur.atoms) | set(rc.atoms)))
+        rc = RationalCoeff(over_oracle(cur, atoms) + over_oracle(rc, atoms), atoms)
+    if rc.is_zero():
+        combo.terms.pop(key, None)
+    else:
+        combo.terms[key] = rc
+
+
+def combo_sum(*combos):
+    """The sum of combinations, one coefficient at a time by ``add_term``."""
+    out = DemazureCombo(combos[0].n)
+    for combo in combos:
+        for key, rc in combo.terms.items():
+            add_term(out, key, rc)
+    return out
 
 
 def normalize(x, mu):
@@ -461,14 +521,14 @@ def normalize(x, mu):
     V_{w t_xi}(lam+mu) = q^{-<lam+mu, xi>} V_w(lam+mu), whose lam-pairing
     is the monomial prod x_i^{-c_i} with xi = sum c_i alpha_i^vee."""
     w, xi = x
-    return (w, mu), Coeff.from_packed(len(xi), {translation_key(mu, xi): 1})
+    return (w, mu), Coeff(len(xi), {translation_key(mu, xi): 1})
 
 
 def coeff_terms(terms):
     """A summand stream with each (packed key, count) turned into a one-term
     Coeff, the (symbol, mu, Coeff) form the one-at-a-time oracles read."""
     for sym, mu, key, c in terms:
-        yield sym, mu, Coeff.from_packed(len(mu), {key: c})
+        yield sym, mu, Coeff(len(mu), {key: c})
 
 
 def summed_oracle(n, terms):
@@ -497,7 +557,7 @@ def add_symbol(combo, x, mu, c):
     """Add c * V_{x}(lam+mu) to combo with x affine, one term at a time;
     the translation is absorbed."""
     key, mult = normalize(x, mu)
-    combo.add_term(key, RationalCoeff(c * mult))
+    add_term(combo, key, RationalCoeff(c * mult))
 
 
 def display_block(qbg, base, kind, j, extra, qexp, mu):
@@ -550,3 +610,17 @@ def expand_buckets(qbg, combo):
     entries = ((sym, key, c) for sym, bucket in buckets_of(combo).items()
                for key, c in bucket.items())
     return DemazureCombo.from_buckets(combo.n, expansions.expand_to_base(qbg, {}, entries))
+
+
+def flip_block_sign(monkeypatch):
+    """Flip the sign of the second summand of every ``_block`` for the
+    letter 2, in ``expansions`` and in ``verify``: a fault that fails the
+    first, second and key identities at rank 3 but not ``cf``."""
+    block = expansions._block
+
+    def faulty(qbg, v, t, dxi, s=1, nu=None):
+        for i, (sym, mu, key, c) in enumerate(block(qbg, v, t, dxi, s, nu)):
+            yield sym, mu, key, -c if (t == 2 and i == 1) else c
+
+    monkeypatch.setattr(expansions, "_block", faulty)
+    monkeypatch.setattr(verify, "_block", faulty)

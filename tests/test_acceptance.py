@@ -44,6 +44,7 @@ from helpers import (
     assert_existence,
     assert_minimum,
     assert_shortest_weights_unique,
+    combo_sum,
     display_block,
     expand_combo,
 )
@@ -90,10 +91,11 @@ def test_criterion_2_example_identities(qbg3):
     # first half, w = s1 s2 s1, m = 3
     w1 = parse_word("s1 s2 s1", 3)
     x1 = (w1, zero_vec(3))
-    d1 = (display_block(qbg3, w1, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-          + display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1,
-                            eps_vec(2, 3))
-          + display_block(qbg3, e, "gamma", 1, a12, 1, eps_vec(1, 3)))
+    d1 = combo_sum(
+        display_block(qbg3, w1, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3)),
+        display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1,
+                      eps_vec(2, 3)),
+        display_block(qbg3, e, "gamma", 1, a12, 1, eps_vec(1, 3)))
     cf1 = ic_rhs_cancel_free_first(qbg3, x1, 3)
     assert cf1 == d1
     assert sorted(cf1.terms) == sorted(d1.terms)  # same symbols, term-for-term
@@ -103,15 +105,16 @@ def test_criterion_2_example_identities(qbg3):
     # second half, w = s3 s2, m = 2
     w2 = parse_word("s3 s2", 3)
     x2 = (w2, zero_vec(3))
-    d2 = (display_block(qbg3, w2, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
-          + display_block(qbg3, parse_word("s3", 3), "theta", 3, A2CV, 1,
-                            vec_neg(eps_vec(3, 3)))
-          + display_block(qbg3, parse_word("s2 s3 s2", 3), "gamma", 3, zero_vec(3), 0,
-                            eps_vec(3, 3))
-          + display_block(qbg3, parse_word("s2 s3", 3), "gamma", 2, A2CV, 1,
-                            eps_vec(2, 3))
-          + display_block(qbg3, parse_word("s2 s3 s1 s2", 3), "gamma", 1, zero_vec(3),
-                            0, eps_vec(1, 3)))
+    d2 = combo_sum(
+        display_block(qbg3, w2, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3))),
+        display_block(qbg3, parse_word("s3", 3), "theta", 3, A2CV, 1,
+                      vec_neg(eps_vec(3, 3))),
+        display_block(qbg3, parse_word("s2 s3 s2", 3), "gamma", 3, zero_vec(3), 0,
+                      eps_vec(3, 3)),
+        display_block(qbg3, parse_word("s2 s3", 3), "gamma", 2, A2CV, 1,
+                      eps_vec(2, 3)),
+        display_block(qbg3, parse_word("s2 s3 s1 s2", 3), "gamma", 1, zero_vec(3),
+                      0, eps_vec(1, 3)))
     conj2 = ic_rhs_conjecture_second(qbg3, x2, 2, 3)
     assert conj2 == d2
     assert sorted(conj2.terms) == sorted(d2.terms)
@@ -121,12 +124,13 @@ def test_criterion_2_example_identities(qbg3):
     # second half, w = s1 s2 s3 s2 s1, m = 1
     w3 = parse_word("s1 s2 s3 s2 s1", 3)
     x3 = (w3, zero_vec(3))
-    d3 = (display_block(qbg3, w3, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
-          + display_block(qbg3, parse_word("s1 s2 s3 s2", 3), "theta", 2, A1CV, 1,
-                            vec_neg(eps_vec(2, 3)))
-          + display_block(qbg3, parse_word("s1 s2 s3", 3), "theta", 3, a12, 1,
-                            vec_neg(eps_vec(3, 3)))
-          + display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3)))
+    d3 = combo_sum(
+        display_block(qbg3, w3, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3))),
+        display_block(qbg3, parse_word("s1 s2 s3 s2", 3), "theta", 2, A1CV, 1,
+                      vec_neg(eps_vec(2, 3))),
+        display_block(qbg3, parse_word("s1 s2 s3", 3), "theta", 3, a12, 1,
+                      vec_neg(eps_vec(3, 3))),
+        display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3)))
     conj3 = ic_rhs_conjecture_second(qbg3, x3, 1, 1)
     assert conj3 == d3
     assert sorted(conj3.terms) == sorted(d3.terms)

@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from qalcove.alcove import make_chain
+from qalcove import expansions
+from qalcove.alcove import filtered_A, make_chain
 from qalcove.expansions import (
     chained_filtered,
     chained_sum,
@@ -85,6 +86,27 @@ def test_chained_sum_cache_is_declared_on_qbg():
     got = chained_sum(qbg, w, -1, 1)
     assert qbg._chained_sums[(w, -1, 1)] is got
     assert chained_sum(qbg, w, -1, 1) is got
+
+
+@pytest.mark.parametrize("src, dst", [(-2, -4), (-2, 4), (-1, -4)])
+def test_letters_outside_the_rank_are_rejected(qbg3, src, dst):
+    # filtered_A raised IndexError on these, and chained_sum returned the
+    # sum for another dst: letter_pos(-4, 3) is the position of 3
+    for build in (filtered_A, chained_sum):
+        with pytest.raises(ValueError, match=f"src={src} dst={dst}"):
+            build(qbg3, (1, 2, 3), src, dst)
+    assert ((1, 2, 3), src, dst) not in qbg3._chained_sums
+
+
+def test_chained_sum_checks_letters_on_a_miss_only(monkeypatch):
+    checked = []
+    check = expansions.check_letters
+    monkeypatch.setattr(expansions, "check_letters",
+                        lambda *args: checked.append(args) or check(*args))
+    qbg, w = QBG(2), (2, 1)
+    got = chained_sum(qbg, w, 1, 1)
+    assert checked == [(2, 1, 1)]
+    assert chained_sum(qbg, w, 1, 1) is got and len(checked) == 1
 
 
 def test_make_chain_is_cached():

@@ -11,6 +11,9 @@ import pytest
 
 from helpers import (
     add_symbol,
+    add_term,
+    atom_coeff,
+    combo_sum,
     display_block,
     expand_buckets,
     expand_combo,
@@ -32,7 +35,7 @@ from qalcove.expansions import (
     ic_rhs_second,
     ic_second_terms,
 )
-from qalcove.ring import DemazureCombo, RationalCoeff, atom_coeff, unpack
+from qalcove.ring import DemazureCombo, RationalCoeff, unpack
 from qalcove.typec import (
     act,
     eps_vec,
@@ -148,7 +151,7 @@ def test_plus_then_minus_roundtrip(qbg3):
                 assert cleared.atoms == ()
                 poly = shift_lambda(cleared.numer, shift)
                 for key, rc2 in chevalley_expand(qbg3, y, "-", k).combo().terms.items():
-                    rhs.add_term(key, rc2 * poly)
+                    add_term(rhs, key, rc2 * poly)
             lhs = DemazureCombo(n)
             add_symbol(lhs, (w, zero_vec(n)), zero_vec(n),
                        shift_lambda(atom_coeff(n, k), shift))
@@ -160,7 +163,7 @@ def test_expand_to_base_passthrough_and_errors(qbg3):
     add_symbol(combo, ((1, 2, 3), zero_vec(3)), zero_vec(3), monomial(3))
     assert expand_buckets(qbg3, combo) == combo
     bad = DemazureCombo(3)
-    bad.add_term(((1, 2, 3), (1, 1, 0)), RationalCoeff(monomial(3)))
+    add_term(bad, ((1, 2, 3), (1, 1, 0)), RationalCoeff(monomial(3)))
     with pytest.raises(ValueError):
         expand_buckets(qbg3, bad)
 
@@ -203,10 +206,10 @@ def test_instance1_paths_and_prefactors(qbg3):
 def test_instance1_display(qbg3):
     w = parse_word("s1 s2 s1", 3)
     x = _x(w)
-    expected = (
-        display_block(qbg3, w, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-        + display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1, eps_vec(2, 3))
-        + display_block(qbg3, (1, 2, 3), "gamma", 1, vec_add(A1CV, A2CV), 1, eps_vec(1, 3))
+    expected = combo_sum(
+        display_block(qbg3, w, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3)),
+        display_block(qbg3, parse_word("s2 s1", 3), "gamma", 2, A2CV, 1, eps_vec(2, 3)),
+        display_block(qbg3, (1, 2, 3), "gamma", 1, vec_add(A1CV, A2CV), 1, eps_vec(1, 3))
     )
     cf = ic_rhs_cancel_free_first(qbg3, x, 3)
     assert cf == expected
@@ -273,12 +276,12 @@ def test_instance2_display(qbg3):
     assert pair(eps_vec(2, 3), A2CV) == 1
     assert qbg3.p_path(w, -2, 1).end == s2312
     assert qbg3.p_path(w, -2, 1).weight == zero_vec(3)
-    expected = (
-        display_block(qbg3, w, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3)))
-        + display_block(qbg3, s3, "theta", 3, A2CV, 1, vec_neg(eps_vec(3, 3)))
-        + display_block(qbg3, s232, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3))
-        + display_block(qbg3, s23, "gamma", 2, A2CV, 1, eps_vec(2, 3))
-        + display_block(qbg3, s2312, "gamma", 1, zero_vec(3), 0, eps_vec(1, 3))
+    expected = combo_sum(
+        display_block(qbg3, w, "theta", 2, zero_vec(3), 0, vec_neg(eps_vec(2, 3))),
+        display_block(qbg3, s3, "theta", 3, A2CV, 1, vec_neg(eps_vec(3, 3))),
+        display_block(qbg3, s232, "gamma", 3, zero_vec(3), 0, eps_vec(3, 3)),
+        display_block(qbg3, s23, "gamma", 2, A2CV, 1, eps_vec(2, 3)),
+        display_block(qbg3, s2312, "gamma", 1, zero_vec(3), 0, eps_vec(1, 3))
     )
     conj = ic_rhs_conjecture_second(qbg3, x, 2, 3)
     assert conj == expected
@@ -328,11 +331,11 @@ def test_instance3_display(qbg3):
     assert qbg3.p_path(w, -1, 1).end == e
     assert qbg3.p_path(w, -1, 1).weight == a123
     assert pair(eps_vec(1, 3), a123) == 1
-    expected = (
-        display_block(qbg3, w, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3)))
-        + display_block(qbg3, s1232, "theta", 2, A1CV, 1, vec_neg(eps_vec(2, 3)))
-        + display_block(qbg3, s123, "theta", 3, a12, 1, vec_neg(eps_vec(3, 3)))
-        + display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3))
+    expected = combo_sum(
+        display_block(qbg3, w, "theta", 1, zero_vec(3), 0, vec_neg(eps_vec(1, 3))),
+        display_block(qbg3, s1232, "theta", 2, A1CV, 1, vec_neg(eps_vec(2, 3))),
+        display_block(qbg3, s123, "theta", 3, a12, 1, vec_neg(eps_vec(3, 3))),
+        display_block(qbg3, e, "gamma", 1, a123, 1, eps_vec(1, 3))
     )
     conj = ic_rhs_conjecture_second(qbg3, x, 1, 1)
     assert conj == expected

@@ -14,7 +14,17 @@ import time
 
 import pytest
 
-from helpers import buckets_of, expand_combo, monomial
+from helpers import (
+    add_term,
+    atom_coeff,
+    buckets_of,
+    coeff,
+    combo_sum,
+    expand_combo,
+    flip_block_sign,
+    monomial,
+    neg,
+)
 from qalcove import expansions, verify
 from qalcove.cli import VERIFIERS
 from qalcove.expansions import (
@@ -31,7 +41,6 @@ from qalcove.ring import (
     Coeff,
     DemazureCombo,
     RationalCoeff,
-    atom_coeff,
     cancels,
     pack,
     times_atom,
@@ -106,14 +115,7 @@ def test_decision_matches_oracle_rank4_sampled(qbg4):
 def test_sign_fault_reports_the_oracle_residual(monkeypatch):
     """One flipped summand sign in ``_block`` fails some identities; each
     failing report must show exactly the oracle's residual."""
-    block = expansions._block
-
-    def faulty(qbg, v, t, dxi, s=1, nu=None):
-        for i, (sym, mu, key, c) in enumerate(block(qbg, v, t, dxi, s, nu)):
-            yield sym, mu, key, -c if (t == 2 and i == 1) else c
-
-    monkeypatch.setattr(expansions, "_block", faulty)
-    monkeypatch.setattr(verify, "_block", faulty)
+    flip_block_sign(monkeypatch)
     qbg = QBG(3)
     failed = set()
     for variant, w, m, xi in instances(qbg, random.Random(5).sample(qbg.group, 12)):
@@ -186,7 +188,6 @@ def test_no_rationals_on_the_verified_path(monkeypatch):
 
     monkeypatch.setattr(RationalCoeff, "__init__", refuse)
     monkeypatch.setattr(Coeff, "__init__", refuse)
-    monkeypatch.setattr(Coeff, "from_packed", refuse)
     qbg = QBG(3)
     for variant, w, m, xi in instances(qbg):
         assert VERIFIERS[variant](qbg, w, m, xi).ok, (variant, w, m, xi)
@@ -198,7 +199,7 @@ def test_expand_to_base_adds_the_signed_side(qbg3):
     """Shift-0 symbols pass through and shifted ones expand, both times sign."""
     x = ((2, -1, 3), (1, 0, -1))
     for m in (1, 3):
-        combo = ic_lhs(qbg3, x, m, "+") + ic_rhs_first(qbg3, x, m)
+        combo = combo_sum(ic_lhs(qbg3, x, m, "+"), ic_rhs_first(qbg3, x, m))
         entries = [(sym, key, c) for sym, bucket in buckets_of(combo).items()
                    for key, c in bucket.items()]
         want = expand_combo(qbg3, combo)
@@ -243,7 +244,7 @@ def test_cancels_over_different_atom_sets():
     n, sym = 3, ((1, 2, 3), zero_vec(3))
     x = monomial(n, 1, q=1, x=(0, 1, 0))
     acc = {(sym, (1,)): _numer(x),
-           (sym, (1, 2)): _numer(-(x * atom_coeff(n, 2)))}
+           (sym, (1, 2)): _numer(neg(x * atom_coeff(n, 2)))}
     assert cancels(n, acc)
     # a second symbol that cancels on its own keeps the verdict
     other = ((2, 1, 3), zero_vec(3))
@@ -255,25 +256,89 @@ def test_cancels_detects_a_nonzero_sum():
     n, sym = 3, ((1, 2, 3), zero_vec(3))
     x = monomial(n, 1, q=1, x=(0, 1, 0))
     # x/(1 - a_1) - x/(1 - a_2) is not zero
-    assert not cancels(n, {(sym, (1,)): _numer(x), (sym, (2,)): _numer(-x)})
+    assert not cancels(n, {(sym, (1,)): _numer(x), (sym, (2,)): _numer(neg(x))})
     # a lone nonzero bucket never cancels, over any denominator
     assert not cancels(n, {(sym, (1, 3)): _numer(x)})
     # the same numerators on different symbols do not cancel each other
     other = ((2, 1, 3), zero_vec(3))
-    assert not cancels(n, {(sym, ()): _numer(x), (other, ()): _numer(-x)})
+    assert not cancels(n, {(sym, ()): _numer(x), (other, ()): _numer(neg(x))})
     with pytest.raises(ValueError, match="repeated"):
         cancels(n, {(sym, (2, 2)): _numer(x)})
+
+
+def _random_buckets(rng, n):
+    """Integer buckets over one to three symbols with mixed atom sets.  A
+    symbol gets random buckets, or pairs c / prod(atoms) and
+    -c (1 - a_k) / (prod(atoms) (1 - a_k)) that cancel only across atom
+    sets, or both; a symbol with only such pairs vanishes."""
+    syms = [(w, mu) for w in ((1, 2, 3)[:n], (2, 1, 3)[:n]) for mu in (zero_vec(n),
+                                                                      (1,) + (0,) * (n - 1))]
+    acc = {}
+
+    def add(sym, atoms, c):
+        bucket = acc.setdefault((sym, atoms), {})
+        for key, v in c.packed.items():
+            bucket[key] = bucket.get(key, 0) + v
+
+    for sym in rng.sample(syms, rng.randint(1, 3)):
+        mode = rng.choice(("random", "pairs", "both"))
+        for _ in range(rng.randint(1, 3)):
+            atoms = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(2, n)))))
+            c = coeff(n, {(rng.randint(-2, 1), tuple(rng.randint(-1, 1) for _ in range(n)),
+                           (0,) * n): rng.randint(-2, 2) for _ in range(rng.randint(1, 3))})
+            if mode != "pairs":
+                add(sym, atoms, c)
+            free = [k for k in range(1, n + 1) if k not in atoms]
+            if mode != "random" and free:
+                k = rng.choice(free)
+                add(sym, atoms, c)
+                add(sym, tuple(sorted(atoms + (k,))), neg(c * atom_coeff(n, k)))
+    return acc
+
+
+def test_decision_display_and_oracle_agree():
+    """``cancels``, ``from_buckets`` and one-at-a-time ``add_term`` agree on
+    random buckets, and a repeated atom raises from both library paths."""
+    rng = random.Random(22)
+    verdicts, across, vanished = set(), 0, 0
+    for n in (2, 3):
+        for _ in range(300):
+            acc = _random_buckets(rng, n)
+            oracle = DemazureCombo(n)
+            for (sym, atoms), bucket in acc.items():
+                add_term(oracle, sym, RationalCoeff(Coeff(n, bucket), atoms))
+            shown = DemazureCombo.from_buckets(n, acc)
+            assert shown == oracle and shown.to_json() == oracle.to_json()
+            verdict = cancels(n, acc)
+            assert verdict == shown.is_zero() == oracle.is_zero()
+            verdicts.add(verdict)
+            syms = {sym for sym, _ in acc}
+            vanished += len(syms - set(shown.terms))
+            across += sum(
+                1 for sym in syms - set(shown.terms)
+                if sum(1 for (s, _), b in acc.items() if s == sym and any(b.values())) > 1)
+            # a repeated atom raises, also in a bucket whose counts cancel
+            sym, k = ((1, 2, 3)[:n], zero_vec(n)), rng.randint(1, n)
+            key = pack(n, (0, zero_vec(n), zero_vec(n)))
+            for count in (1, 0):
+                bad = dict(acc)
+                bad[(sym, (k, k))] = {key: count}
+                for decide in (cancels, DemazureCombo.from_buckets):
+                    with pytest.raises(ValueError, match="repeated"):
+                        decide(n, bad)
+    assert verdicts == {True, False}
+    assert across > 0 and vanished > across
 
 
 def test_times_atom_is_the_coeff_product():
     rng = random.Random(3)
     for n in (2, 3):
         for _ in range(50):
-            c = Coeff(n, {(rng.randint(-2, 2), tuple(rng.randint(-2, 2) for _ in range(n)),
+            c = coeff(n, {(rng.randint(-2, 2), tuple(rng.randint(-2, 2) for _ in range(n)),
                            tuple(rng.randint(-1, 1) for _ in range(n))): rng.randint(-3, 3)
                           for _ in range(rng.randint(1, 4))})
             k = rng.randint(1, n)
-            got = Coeff.from_packed(n, times_atom(n, c.packed, k))
+            got = Coeff(n, times_atom(n, c.packed, k))
             assert got == c * atom_coeff(n, k)
 
 
@@ -288,7 +353,7 @@ def test_times_atom_below_exp_min_raises(k):
     other = 3 - k
     assert times_atom(n, {low: 1}, other)
     top = pack(n, (0, tuple(EXP_MAX if i == k else 0 for i in range(1, n + 1)), zero_vec(n)))
-    assert Coeff.from_packed(n, times_atom(n, {top: 1}, k)) == \
-        Coeff.from_packed(n, {top: 1}) * atom_coeff(n, k)
+    assert Coeff(n, times_atom(n, {top: 1}, k)) == \
+        Coeff(n, {top: 1}) * atom_coeff(n, k)
     # a zero count is not multiplied, so it cannot leave the range
     assert times_atom(n, {low: 0}, k) == {low: 0}

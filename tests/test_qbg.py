@@ -18,9 +18,11 @@ from helpers import (
     path_weight,
     shortest_paths,
 )
-from qalcove.qbg import move
+from qalcove import qbg as qbg_module
+from qalcove.qbg import QBG, move
 from qalcove.typec import (
     coroot,
+    doubled,
     identity_w,
     pair,
     parse_word,
@@ -178,6 +180,21 @@ def test_p_path_rejects_exactly_the_letters_it_cannot_join(qbg2):
             else:
                 with pytest.raises(ValueError):
                     qbg2.p_path(identity_w(2), src, dst)
+
+
+def test_one_product_per_root_tried(monkeypatch):
+    """p_path and edges_from form w s_alpha once for each root they try."""
+    calls = []
+    monkeypatch.setattr(qbg_module, "doubled",
+                        lambda w: calls.append(w) or doubled(w))
+    qbg = QBG(3)
+    # from the letter -1 the path tries 5 + 4 + 3 + 2 + 1 labels, one step
+    # for each letter it passes; forming each target again made 20 products
+    path = qbg.p_path((1, 2, 3), -1, 1)
+    assert len(path.steps) == 5 and len(calls) == 15
+    calls.clear()
+    qbg.edges_from((2, -1, 3))
+    assert len(calls) == len(qbg.pos_roots) == 9
 
 
 def test_p_path_weight_helper(qbg3):

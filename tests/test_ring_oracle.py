@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from qalcove.ring import Coeff, RationalCoeff, atom_coeff, divide_by_atom
+from helpers import atom_coeff, coeff, neg, terms_of
+from qalcove.ring import Coeff, RationalCoeff, divide_by_atom
 
 sp = pytest.importorskip("sympy")
 
@@ -19,7 +20,7 @@ RANKS = (2, 3)
 def to_sympy(c: Coeff):
     return sp.Add(*(v * Q**q * sp.Mul(*(X[i] ** b for i, b in enumerate(x)))
                     * sp.Mul(*(E[i] ** a for i, a in enumerate(nu)))
-                    for (q, x, nu), v in c.terms.items()))
+                    for (q, x, nu), v in terms_of(c).items()))
 
 
 def atom_sympy(k):
@@ -42,14 +43,15 @@ def sympy_divisible(c: Coeff, k: int) -> bool:
 
     A monomial shift makes c a polynomial, and the atom is (q x_k - 1) over
     the unit q x_k, so this is polynomial division by q x_k - 1."""
-    if not c.terms:
+    terms = terms_of(c)
+    if not terms:
         return True
-    exps = [(q, *x, *nu) for q, x, nu in c.terms]
+    exps = [(q, *x, *nu) for q, x, nu in terms]
     low = [min(col) for col in zip(*exps)]
     gens = (Q, *X[:c.n], *E[:c.n])
     poly = sp.Poly.from_dict(
         {tuple(e - b for e, b in zip(exp, low)): v
-         for exp, v in zip(exps, c.terms.values())}, *gens)
+         for exp, v in zip(exps, terms.values())}, *gens)
     return poly.rem(sp.Poly(Q * X[k - 1] - 1, *gens)).is_zero
 
 
@@ -63,7 +65,7 @@ def random_coeff(rng, n) -> Coeff:
         key = (rng.randint(-2, 2), tuple(rng.randint(-2, 2) for _ in range(n)),
                tuple(rng.randint(-1, 1) for _ in range(n)))
         terms[key] = rng.choice((-3, -2, -1, 1, 2, 3))
-    return Coeff(n, terms)
+    return coeff(n, terms)
 
 
 def random_numer(rng, n) -> Coeff:
@@ -128,8 +130,8 @@ def test_rational_arithmetic(n):
         ta, tb, tc = cleared(a), cleared(b), cleared(c)
         assert_reduced(a + b)
         assert is_zero(cleared(a + b) - (ta + tb))
-        assert_reduced(a - b)
-        assert is_zero(cleared(a - b) - (ta - tb))
+        assert_reduced(a + neg(b))
+        assert is_zero(cleared(a + neg(b)) - (ta - tb))
         assert_reduced(a * c)
         assert is_zero(cleared(a * c) * every - ta * tc)
         assert (a == b) == is_zero(ta - tb)
@@ -154,7 +156,7 @@ def assert_one_form(x: RationalCoeff, y: RationalCoeff):
     """x and y hold one value (sympy agrees) and so one reduced form."""
     assert is_zero(cleared(x) - cleared(y))
     assert x == y
-    assert x.atoms == y.atoms and x.numer.terms == y.numer.terms
+    assert x.atoms == y.atoms and x.numer.packed == y.numer.packed
 
 
 @pytest.mark.parametrize("n", RANKS)
@@ -165,6 +167,6 @@ def test_equal_values_reached_by_different_routes_are_identical(n):
         b = random_rational(rng, n, range(1, n))
         c = random_rational(rng, n, [k for k in range(1, n + 1)
                                      if k not in a.atoms + b.atoms])
-        assert_one_form((a + b) - b, a)
+        assert_one_form((a + b) + neg(b), a)
         assert_one_form((a + b) * c, a * c + b * c)
-        assert ((a + b) - b == b) == is_zero(cleared(a) - cleared(b))
+        assert ((a + b) + neg(b) == b) == is_zero(cleared(a) - cleared(b))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     add_symbol,
+    add_term,
     expand_combo,
     monomial,
     product_certificate,
@@ -111,7 +112,7 @@ def test_key_second_is_shifted_key_first(qbg3):
                 out = DemazureCombo(n)
                 for (y, mu), rc in combo.terms.items():
                     assert rc.atoms == ()
-                    out.add_term((y, vec_add(mu, shift)),
+                    add_term(out, (y, vec_add(mu, shift)),
                                  RationalCoeff(shift_lambda(rc.numer, shift) * emu))
                 return out
 
