@@ -20,17 +20,18 @@ weights lam +- eps_j:
 ``ic_lhs`` and the ``ic_rhs_*`` builders return a ``DemazureCombo`` keyed
 by (window, weight shift), for display; the ``*_terms`` and ``*_summed``
 generators stream the individual summands before any cancellation occurs,
-and ``ic_lhs_term`` is the one summand of ``ic_lhs``.  A summand (affine
-symbol, mu, key, c) stands for c q^k e^nu gch V_{y t_xi}(lam + mu), where
-(y, xi) is the symbol and the packed monomial ``key`` holds q^k e^nu with
-no x-part, as the paper displays it.  Every summand comes from
-``_block``: one per admissible subset of the gamma or theta chain of a
-target letter, all sharing the block's monomial.  ``normalized`` absorbs
-each translation into the key, and the ring's ``fold_into`` sums the
-results per symbol in integer buckets.  ``expand_to_base`` adds them to
-such buckets at the base weight, still in integers, which is how
-``verify`` decides an identity; ``DemazureCombo.folded`` reduces buckets
-only for a combination that is shown.
+and ``ic_lhs_term`` is the one summand of ``ic_lhs``.  A summand is the
+entry ((symbol (y, mu), no atoms), key, c) that ``ring.fold_into`` reads:
+c times the packed monomial ``key`` times gch V_y(lam + mu).  The key
+already holds the translation of the paper's gch V_{y t_xi}(lam + mu),
+q^{-<mu, xi>} prod x_i^{-c_i} with xi = sum c_i alpha_i^vee.  Every
+summand of a right-hand side comes from ``_block``: one per admissible
+subset of the gamma or theta chain of a target letter, all sharing the
+block's head monomial.  ``fold_into`` sums them per symbol in integer
+buckets, and ``expand_to_base`` adds them to such buckets at the base
+weight, still in integers, which is how ``verify`` decides an identity;
+``DemazureCombo.folded`` reduces buckets only for a combination that is
+shown.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .qbg import QBG
 from .ring import (
     Buckets,
     DemazureCombo,
+    Entry,
     check_packed,
     pack,
     packed_words,
@@ -64,7 +66,6 @@ from .typec import (
 )
 
 AffinePair = tuple[Window, Vec]
-Term = tuple[AffinePair, Vec, int, int]  # (symbol, mu, packed q^k e^nu, count)
 
 
 def _sign(c: int) -> int:
@@ -207,15 +208,16 @@ def _mu_index(mu: Vec) -> tuple[int, str]:
 
 
 def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
-    """Add sign times the ``normalized`` entries ((y, mu), sorted atoms),
-    packed monomial, count) to the integer buckets ``acc`` (see
+    """Add sign times the entries (((y, mu), sorted atoms), packed
+    monomial, count) to the integer buckets ``acc`` (see
     ``ring.fold_into``), read at the base weight; returns acc.
 
     An entry already at the base weight (shift 0) is added as it is.  A
     V_y(lam +- eps_k) is rewritten through ``chevalley_expand`` in the same
     loop: each entry of the expansion costs one packed addition and one
     integer product, added to the bucket of the entry's end over both atom
-    tuples.  ValueError if a product left the packed range.
+    tuples.  ValueError if an entry's key or a product left the packed
+    range.
     """
     n = qbg.n
     bias = packed_words(n)[0]
@@ -224,6 +226,7 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
     for (sym, atoms), k1, c1 in entries:
         y, mu = sym
         c1 *= sign
+        seen |= k1
         if not any(mu):
             out = acc.get((sym, atoms))
             if out is None:
@@ -245,20 +248,23 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
     return acc
 
 
-def ic_lhs_term(qbg: QBG, x: AffinePair, m: int, sign: str) -> Term:
-    """The one summand e^{+-w(eps_m)} gch V_{w t_xi}(lam)."""
+def ic_lhs_term(qbg: QBG, x: AffinePair, m: int, sign: str) -> Entry:
+    """The one summand e^{+-w(eps_m)} gch V_{w t_xi}(lam), as the entry of
+    V_w(lam) with the translation in its key."""
     n = qbg.n
     _check_m(n, m)
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    zero = zero_vec(n)
-    nu = act(x[0], eps_vec(m if sign == "+" else -m, n))
-    return x, zero, pack(n, (0, zero, nu)), 1
+    (w, xi), zero = x, zero_vec(n)
+    nu = act(w, eps_vec(m if sign == "+" else -m, n))
+    key = pack(n, (0, zero, nu)) + translation_key(zero, xi) - packed_words(n)[0]
+    check_packed(n, key)
+    return ((w, zero), ()), key, 1
 
 
 def ic_lhs(qbg: QBG, x: AffinePair, m: int, sign: str) -> DemazureCombo:
     """The one-term combination of ``ic_lhs_term``."""
-    return DemazureCombo.folded(qbg.n, normalized([ic_lhs_term(qbg, x, m, sign)]))
+    return DemazureCombo.folded(qbg.n, [ic_lhs_term(qbg, x, m, sign)])
 
 
 def chained_filtered(qbg: QBG, w: Window, src: int,
@@ -323,18 +329,27 @@ def _check_m(n: int, m: int):
 
 
 def _block(qbg: QBG, v: Window, t: int, dxi: Vec, s: int = 1,
-           nu: Vec | None = None) -> Iterator[Term]:
+           nu: Vec | None = None, at: Vec | None = None) -> Iterator[Entry]:
     """Signed summands of the block from v for the target letter t.
 
     An unbarred t sums over Gamma_t(t) and lands at lam + eps_t; a barred
     t = -j sums over Theta_j and lands at lam - eps_j.  Each subset B gives
-    s (-1)^{|B|} q^{<eps_t, dxi>} e^{nu} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t).
+    s (-1)^{|B|} q^{<eps_t, dxi>} e^{nu} V_{ed(B) t_{down(B) + dxi}}(lam + at),
+    with ``at`` = eps_t unless given (the key identity reads one side at 0),
+    as the entry of V_{ed(B)}(lam + at) whose key holds the translation: one
+    head per block, q^{<eps_t, dxi>} e^{nu} ``translation_key(at, dxi)``,
+    times ``translation_key(at, down(B))``.  A key outside the packed range
+    raises ValueError before it is yielded.
     """
     n = qbg.n
     mu, zero = eps_vec(t, n), zero_vec(n)
-    key = pack(n, (pair(mu, dxi), zero, nu or zero))
+    at = mu if at is None else at
+    head = (pack(n, (pair(mu, dxi), zero, nu or zero)) + translation_key(at, dxi)
+            - 2 * packed_words(n)[0])  # see packed_words
     for B in admissible_subsets(qbg, v, _block_chain(t, n)):
-        yield (B.end, vec_add(B.down, dxi)), mu, key, s * _sign(len(B.positions))
+        key = head + translation_key(at, B.down)
+        check_packed(n, key)
+        yield ((B.end, at), ()), key, s * _sign(len(B.positions))
 
 
 def _block_chain(t: int, n: int):
@@ -342,27 +357,27 @@ def _block_chain(t: int, n: int):
     return make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
 
 
-def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
     """Blocks for dst after every sequence and chained product, one by one."""
     for seq in enumerate_S(src, dst, qbg.n):
         for v, d, s in chained_filtered(qbg, w, src, seq):
             yield from _block(qbg, v, dst, vec_add(d, xi), s)
 
 
-def _summed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+def _summed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
     """The same blocks, one per ``chained_sum`` entry, scaled by its count."""
     for (v, d), c in chained_sum(qbg, w, src, dst).items():
         yield from _block(qbg, v, dst, vec_add(d, xi), c)
 
 
-def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Term]:
+def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
     """The block for dst after the single directed path ``p_path``."""
     p = qbg.p_path(w, src, dst)
     yield from _block(qbg, p.end, dst, vec_add(p.weight, xi))
 
 
 def _inverse_blocks(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
-                    chained) -> Iterator[Iterator[Term]]:
+                    chained) -> Iterator[Iterator[Entry]]:
     """The block for src from w, then the chained blocks for each dst."""
     w, xi = x
     yield _block(qbg, w, src, xi)
@@ -371,7 +386,7 @@ def _inverse_blocks(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
 
 
 def _inverse_terms(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
-                   chained) -> Iterator[Term]:
+                   chained) -> Iterator[Entry]:
     """The summands of ``_inverse_blocks``, block after block."""
     yield from chain.from_iterable(_inverse_blocks(qbg, x, src, dsts, chained))
 
@@ -381,7 +396,7 @@ def _second_dsts(n: int, m: int, l: int) -> list[int]:
     return [-j for j in range(m + 1, n + 1)] + list(range(1, l + 1))
 
 
-def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """Summands of the expansion of e^{+w(eps_m)} gch V_{w t_xi}(lam).
 
     One block over the full eps_m-chain subsets lands at lam + eps_m; for
@@ -392,7 +407,7 @@ def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     yield from _inverse_terms(qbg, x, m, range(1, m), _streamed)
 
 
-def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """Summands of the expansion of e^{-w(eps_m)} gch V_{w t_xi}(lam).
 
     Blocks land at lam - eps_m directly, at lam - eps_j for barred targets
@@ -403,7 +418,7 @@ def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
     yield from _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _streamed)
 
 
-def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """Summands of the collapsed (cancellation-free) first expansion.
 
     The chained sums of ``ic_first_terms`` collapse to a single directed
@@ -414,7 +429,7 @@ def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
 
 
 def conj_second_blocks(qbg: QBG, x: AffinePair, m: int,
-                       l: int) -> list[list[Term]]:
+                       l: int) -> list[list[Entry]]:
     """The blocks of the collapsed second expansion with unbarred cut ``l``.
 
     In stream order: the block for -m from w, the ``_collapsed`` block for
@@ -430,7 +445,7 @@ def conj_second_blocks(qbg: QBG, x: AffinePair, m: int,
 
 
 def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
-                         l: int) -> Iterator[Term]:
+                         l: int) -> Iterator[Entry]:
     """Summands of the collapsed second expansion with unbarred cut ``l``.
 
     Barred blocks use the directed path to each -k, k = m+1..n; unbarred
@@ -439,34 +454,19 @@ def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
     yield from chain.from_iterable(conj_second_blocks(qbg, x, m, l))
 
 
-def normalized(terms: Iterable[Term]) -> Iterator[tuple[tuple, int, int]]:
-    """The ``folded`` entry ((symbol (y, mu), no atoms), packed monomial,
-    count) of each summand.
-
-    V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu) with
-    xi = sum c_i alpha_i^vee, so the translation's ``translation_key`` is
-    added to the summand's key.  A sum with a field outside the packed
-    range raises ValueError before it is yielded.
-    """
-    for (y, xi), mu, key, c in terms:
-        key += translation_key(mu, xi) - packed_words(len(mu))[0]  # see packed_words
-        check_packed(len(mu), key)
-        yield ((y, mu), ()), key, c
+def fold_terms(n: int, terms: Iterable[Entry]) -> DemazureCombo:
+    """Sum a stream of summands, each a ``fold_into`` entry."""
+    return DemazureCombo.folded(n, terms)
 
 
-def fold_terms(n: int, terms: Iterable[Term]) -> DemazureCombo:
-    """Sum a stream of (affine symbol, mu, packed monomial, count) summands."""
-    return DemazureCombo.folded(n, normalized(terms))
-
-
-def ic_first_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+def ic_first_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """The summands of ``ic_first_terms`` with the sequence sums from
     ``chained_sum``: one block per entry, scaled by its count."""
     _check_m(qbg.n, m)
     return _inverse_terms(qbg, x, m, range(1, m), _summed)
 
 
-def ic_second_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Term]:
+def ic_second_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """The summands of ``ic_second_terms`` with the sequence sums from
     ``chained_sum``: one block per entry, scaled by its count."""
     n = qbg.n

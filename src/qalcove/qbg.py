@@ -76,7 +76,6 @@ class QBG:
         self.group = weyl_group(n)
         self.pos_roots = positive_roots(n)
         self.length = {w: length(w) for w in self.group}
-        self._edges_from: dict[Window, list[tuple[Vec, str, Window]]] = {}
         # memo tables of the alcove and expansions layers, keyed by element
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
         self._chev_cache: dict = {}      # (w, sign, k) -> ChevalleyExpansion,
@@ -98,14 +97,12 @@ class QBG:
         return self.edge(w, alpha)[0]
 
     def edges_from(self, w: Window) -> list[tuple[Vec, str, Window]]:
-        out = self._edges_from.get(w)
-        if out is None:
-            out = []
-            for a in self.pos_roots:
-                kind, v = self.edge(w, a)
-                if kind:
-                    out.append((a, kind, v))
-            self._edges_from[w] = out
+        """(alpha, kind, w s_alpha) for every edge out of w."""
+        out = []
+        for a in self.pos_roots:
+            kind, v = self.edge(w, a)
+            if kind:
+                out.append((a, kind, v))
         return out
 
     # -- label-decreasing paths -----------------------------------------

@@ -27,8 +27,8 @@ equality compares numerators and atoms directly.
 A ``DemazureCombo`` is a finite sum  sum_{(y,mu)} c_{y,mu} V_y(lam+mu)
 of level-zero Demazure characters with RationalCoeff coefficients.  A
 translation V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu)
-is one packed monomial, ``translation_key``, which the summand folds of
-``expansions`` add to a summand's key.
+is one packed monomial, ``translation_key``, which ``expansions`` puts
+into the key of each summand it builds.
 
 Sums are kept as integer buckets {(symbol, sorted atoms): {packed monomial:
 count}}: ``fold_into`` adds summands into them, and
@@ -310,6 +310,7 @@ class RationalCoeff:
 # --- integer buckets ----------------------------------------------------------
 
 Buckets = dict[tuple, dict[int, int]]  # (symbol, sorted atoms) -> {key: count}
+Entry = tuple[tuple, int, int]  # ((symbol, sorted atoms), packed monomial, count)
 
 
 def fold_into(n: int, acc: Buckets, entries, sign: int = 1) -> Buckets:

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .alcove import admissible_subsets, make_chain, subset_stats
 from .expansions import (
-    Term,
     _block,
     chained_sum,
     conj_second_blocks,
@@ -36,15 +35,16 @@ from .expansions import (
     ic_first_summed,
     ic_lhs_term,
     ic_second_summed,
-    normalized,
 )
 from .qbg import QBG
 from .ring import (
     Buckets,
     Coeff,
     DemazureCombo,
+    Entry,
     RationalCoeff,
     cancels,
+    check_packed,
     clear_denominators,
     fold_into,
 )
@@ -112,10 +112,9 @@ def _compare(instance: str, lhs: DemazureCombo, rhs: DemazureCombo,
 def _fold(qbg: QBG, acc: Buckets, terms, at_base: bool, sign: int = 1) -> Buckets:
     """Add sign times a stream of summands to the integer buckets ``acc``,
     rewritten to the base weight by ``expand_to_base`` when ``at_base``."""
-    entries = normalized(terms)
     if at_base:
-        return expand_to_base(qbg, acc, entries, sign)
-    return fold_into(qbg.n, acc, entries, sign)
+        return expand_to_base(qbg, acc, terms, sign)
+    return fold_into(qbg.n, acc, terms, sign)
 
 
 def _identity(qbg: QBG, instance: str, t0: float, lhs, rhs) -> VerificationReport:
@@ -181,17 +180,12 @@ def _key_terms(qbg: QBG, w: Window, t: int):
     """Both sides of the key identity for t = +-k, as ``_identity`` takes them.
 
     LHS: the block from w for t, landing at lam + eps_t, read at the base
-    weight.  RHS: the block for -t with its symbols read at lam, times
-    e^{w eps_t}.
+    weight.  RHS: the block for -t read at lam, times e^{w eps_t}.
     """
-    n = qbg.n
-    zero = zero_vec(n)
-
-    def rhs():
-        for sym, _, key, c in _block(qbg, w, -t, zero, nu=act(w, eps_vec(t, n))):
-            yield sym, zero, key, c
-
-    return (lambda: _block(qbg, w, t, zero), True), (rhs, False)
+    zero = zero_vec(qbg.n)
+    nu = act(w, eps_vec(t, qbg.n))
+    return ((lambda: _block(qbg, w, t, zero), True),
+            (lambda: _block(qbg, w, -t, zero, nu=nu, at=zero), False))
 
 
 def _key_sides(qbg: QBG, w: Window, t: int) -> tuple[DemazureCombo, DemazureCombo]:
@@ -316,16 +310,17 @@ def collapse_check(qbg: QBG, w: Window, m: int, j: int) -> bool:
 # -- cancellation certificates and the conjecture scan --------------------
 
 
-def cancellation_certificate(terms: Iterable[Term]) -> bool:
+def cancellation_certificate(terms: Iterable[Entry]) -> bool:
     """True iff no two streamed summands cancel.
 
-    Each summand is ``normalized`` to its ``folded`` entry (symbol, packed
+    Each summand is a ``fold_into`` entry ((symbol, atoms), packed
     monomial, count); the stream is cancellation-free when no (symbol,
-    monomial) is hit with both signs.  A summand with a key outside the
-    packed range raises ValueError before it is compared.
+    atoms, monomial) is hit with both signs.  A summand with a key outside
+    the packed range raises ValueError before it is compared.
     """
     seen: dict[tuple, bool] = {}
-    for sym, key, c in normalized(terms):
+    for sym, key, c in terms:
+        check_packed(len(sym[0][1]), key)
         if seen.setdefault((sym, key), c > 0) != (c > 0):
             return False
     return True

@@ -1,9 +1,11 @@
 """Shared exhaustive property checks, reused by the acceptance suite, and
 the oracles the tests compare the library against."""
 
+import ast
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 from qalcove import expansions, verify
 from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
@@ -12,6 +14,7 @@ from qalcove.ring import (
     Coeff,
     DemazureCombo,
     RationalCoeff,
+    check_packed,
     pack,
     packed_words,
     translation_key,
@@ -20,6 +23,7 @@ from qalcove.ring import (
 from qalcove.typec import (
     act,
     coroot,
+    eps_vec,
     image,
     inv,
     is_positive_root,
@@ -36,6 +40,28 @@ from qalcove.typec import (
     vec_add,
     zero_vec,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qalcove"
+
+
+def _calls(node, name, where):
+    """Yield the innermost function around each call of ``name``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, name, where)
+
+
+def callers_in_src(name):
+    """'module: function' for each call of ``name`` in src/, in file and
+    source order."""
+    return [f"{path.name}: {where}"
+            for path in sorted(SRC.glob("*.py"))
+            for where in _calls(ast.parse(path.read_text(), filename=str(path)),
+                                name, "<module>")]
 
 
 def _edge(qbg, w, i, j):
@@ -525,16 +551,18 @@ def normalize(x, mu):
 
 
 def coeff_terms(terms):
-    """A summand stream with each (packed key, count) turned into a one-term
-    Coeff, the (symbol, mu, Coeff) form the one-at-a-time oracles read."""
+    """A 4-tuple summand stream (see ``term_block``) with each (packed key,
+    count) turned into a one-term Coeff, the (symbol, mu, Coeff) form the
+    one-at-a-time oracles read."""
     for sym, mu, key, c in terms:
         yield sym, mu, Coeff(len(mu), {key: c})
 
 
 def summed_oracle(n, terms):
-    """The summands folded the Coeff way, one at a time: ``add_symbol``
-    multiplies each coefficient by its ``normalize`` translation with
-    ``Coeff.__mul__`` and adds the product through ``add_term``."""
+    """The 4-tuple summands folded the Coeff way, one at a time:
+    ``add_symbol`` multiplies each coefficient by its ``normalize``
+    translation with ``Coeff.__mul__`` and adds the product through
+    ``add_term``."""
     combo = DemazureCombo(n)
     for sym, mu, c in coeff_terms(terms):
         add_symbol(combo, sym, mu, c)
@@ -542,8 +570,9 @@ def summed_oracle(n, terms):
 
 
 def product_certificate(terms):
-    """The cancellation certificate the Coeff way: each summand times its
-    translation monomial by ``Coeff.__mul__``, its monomials compared by sign."""
+    """The cancellation certificate the Coeff way: each 4-tuple summand times
+    its translation monomial by ``Coeff.__mul__``, its monomials compared by
+    sign."""
     seen = {}
     for sym, mu, c in coeff_terms(terms):
         key, mult = normalize(sym, mu)
@@ -618,9 +647,60 @@ def flip_block_sign(monkeypatch):
     first, second and key identities at rank 3 but not ``cf``."""
     block = expansions._block
 
-    def faulty(qbg, v, t, dxi, s=1, nu=None):
-        for i, (sym, mu, key, c) in enumerate(block(qbg, v, t, dxi, s, nu)):
-            yield sym, mu, key, -c if (t == 2 and i == 1) else c
+    def faulty(qbg, v, t, dxi, s=1, nu=None, at=None):
+        for i, (sym, key, c) in enumerate(block(qbg, v, t, dxi, s, nu, at)):
+            yield sym, key, -c if (t == 2 and i == 1) else c
 
     monkeypatch.setattr(expansions, "_block", faulty)
     monkeypatch.setattr(verify, "_block", faulty)
+
+
+# --- the 4-tuple summand format: the oracle of _block's fold entries --------
+
+
+def term_block(qbg, v, t, dxi, s=1, nu=None):
+    """Signed summands of the block from v for the target letter t.
+
+    An unbarred t sums over Gamma_t(t) and lands at lam + eps_t; a barred
+    t = -j sums over Theta_j and lands at lam - eps_j.  Each subset B gives
+    s (-1)^{|B|} q^{<eps_t, dxi>} e^{nu} V_{ed(B) t_{down(B) + dxi}}(lam + eps_t),
+    as the summand (affine symbol, mu, packed q^k e^nu, count).
+    """
+    n = qbg.n
+    mu, zero = eps_vec(t, n), zero_vec(n)
+    key = pack(n, (pair(mu, dxi), zero, nu or zero))
+    for B in admissible_subsets(qbg, v, expansions._block_chain(t, n)):
+        yield (B.end, vec_add(B.down, dxi)), mu, key, s * expansions._sign(len(B.positions))
+
+
+def normalized(terms):
+    """The ``folded`` entry ((symbol (y, mu), no atoms), packed monomial,
+    count) of each summand.
+
+    V_{y t_xi}(lam+mu) = q^{-<mu,xi>} prod x_i^{-c_i} V_y(lam+mu) with
+    xi = sum c_i alpha_i^vee, so the translation's ``translation_key`` is
+    added to the summand's key.  A sum with a field outside the packed
+    range raises ValueError before it is yielded.
+    """
+    for (y, xi), mu, key, c in terms:
+        key += translation_key(mu, xi) - packed_words(len(mu))[0]  # see packed_words
+        check_packed(len(mu), key)
+        yield ((y, mu), ()), key, c
+
+
+def read_at(terms, at):
+    """The 4-tuple summands with their symbols read at lam + at, keys
+    unchanged: the oracle of ``_block``'s ``at``."""
+    for sym, _, key, c in terms:
+        yield sym, at, key, c
+
+
+def term_stream(build, *args):
+    """The summands of ``build(*args)`` in the 4-tuple format, as a list:
+    the same builder run with ``term_block`` in place of ``_block``."""
+    block = expansions._block
+    expansions._block = term_block
+    try:
+        return list(build(*args))
+    finally:
+        expansions._block = block

@@ -18,6 +18,8 @@ from helpers import (
     expand_buckets,
     expand_combo,
     monomial,
+    normalized,
+    term_stream,
     shift_lambda,
 )
 from qalcove.alcove import filtered_A
@@ -169,15 +171,17 @@ def test_expand_to_base_passthrough_and_errors(qbg3):
 
 
 def test_stream_terms_are_signed_q_powers(qbg3):
+    # before its translation is absorbed, every summand is +-q^k; each
+    # entry is that summand normalized, with no atoms
     w = parse_word("s3 s2", 3)
-    for term_iter in (ic_first_terms(qbg3, _x(w), 2),
-                      ic_second_terms(qbg3, _x(w), 2),
-                      ic_cf_first_terms(qbg3, _x(w), 2),
-                      ic_conj_second_terms(qbg3, _x(w), 2, 3)):
-        for _sym, _mu, key, co in term_iter:
+    for build, *args in ((ic_first_terms, 2), (ic_second_terms, 2),
+                         (ic_cf_first_terms, 2), (ic_conj_second_terms, 2, 3)):
+        terms = term_stream(build, qbg3, _x(w), *args)
+        for _sym, _mu, key, co in terms:
             qe, xv, nu = unpack(3, key)
             assert co in (1, -1)
             assert xv == zero_vec(3) and nu == zero_vec(3)
+        assert list(build(qbg3, _x(w), *args)) == list(normalized(terms))
 
 
 # -- worked instance 1: first half, w = s1 s2 s1, m = 3 -------------------
@@ -226,11 +230,11 @@ def test_instance1_precancellation_blocks(qbg3):
     s2 = parse_word("s2", 3)
     full = [t for t in ic_first_terms(qbg3, _x(w), 3)]
     hits = set()
-    for (y, _xi), mu, _key, co in full:
+    for ((y, mu), _atoms), _key, co in full:
         if mu == eps_vec(1, 3):
             hits.add((y, co > 0))
     assert (s2, True) in hits and (s2, False) in hits
-    cf_bases = {sym[0] for sym, mu, _, _ in ic_cf_first_terms(qbg3, _x(w), 3)
+    cf_bases = {y for ((y, mu), _), _, _ in ic_cf_first_terms(qbg3, _x(w), 3)
                 if mu == eps_vec(1, 3)}
     assert s2 not in cf_bases
 

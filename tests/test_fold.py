@@ -28,6 +28,8 @@ from helpers import (
     monomial,
     neg,
     oracle_subsets,
+    term_stream,
+    term_block,
 )
 from qalcove import expansions
 from qalcove.alcove import make_chain
@@ -40,9 +42,10 @@ from qalcove.expansions import (
     _summed,
     chevalley_expand,
     fold_terms,
+    ic_lhs,
+    ic_lhs_term,
     ic_rhs_first,
     ic_rhs_second,
-    normalized,
 )
 from qalcove.ring import (
     EXP_MAX,
@@ -53,7 +56,6 @@ from qalcove.ring import (
     clear_denominators,
     divide_by_atom,
     pack,
-    translation_key,
 )
 from qalcove.qbg import QBG
 from qalcove.typec import act, eps_vec, zero_vec
@@ -102,8 +104,8 @@ def key_sides_oracle(qbg, w, t):
     n = qbg.n
     shift = monomial(n, 1, nu=act(w, eps_vec(t, n)))
     rhs = fold_oracle(n, ((sym, zero_vec(n), c * shift)
-                          for sym, _, c in coeff_terms(_block(qbg, w, -t, zero_vec(n)))))
-    return fold_oracle(n, coeff_terms(_block(qbg, w, t, zero_vec(n)))), rhs
+                          for sym, _, c in coeff_terms(term_block(qbg, w, -t, zero_vec(n)))))
+    return fold_oracle(n, coeff_terms(term_block(qbg, w, t, zero_vec(n)))), rhs
 
 
 def assert_same(a, b):
@@ -134,9 +136,9 @@ def check_element(qbg, w, xi, cache):
     for m in range(1, n + 1):
         for built, stream in (
                 (ic_rhs_first(qbg, x, m),
-                 _inverse_terms(qbg, x, m, range(1, m), _summed)),
+                 term_stream(_inverse_terms, qbg, x, m, range(1, m), _summed)),
                 (ic_rhs_second(qbg, x, m),
-                 _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed))):
+                 term_stream(_inverse_terms, qbg, x, -m, _second_dsts(n, m, n), _summed))):
             oracle = fold_oracle(n, coeff_terms(stream))
             assert_same(built, oracle)
             assert_same(expand_buckets(qbg, built), expand_oracle(qbg, oracle, cache))
@@ -382,12 +384,20 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
             expand(qbg3, combo)
 
 
-def test_normalized_absorbs_translation():
-    sym = ((1, 2, 3), (0, 1, -1))
-    term = (sym, zero_vec(3), pack(3, (0, zero_vec(3), zero_vec(3))), 1)
-    [entry] = normalized([term])
-    (key, atoms), packed, c = entry
-    assert key == ((1, 2, 3), zero_vec(3)) and atoms == () and c == 1
-    assert packed == translation_key(zero_vec(3), sym[1])
-    assert Coeff(3, {packed: c}) == monomial(3, x=(0, -1, 0))
-    assert fold_terms(3, [term]).terms == {key: RationalCoeff(monomial(3, x=(0, -1, 0)))}
+def test_entries_absorb_translation(qbg3):
+    # V_{y t_xi}(lam) = prod x_i^{-c_i} V_y(lam) with xi = sum c_i alpha_i^vee
+    w, zero, e1 = (1, 2, 3), zero_vec(3), eps_vec(1, 3)
+    (sym, atoms), packed, c = ic_lhs_term(qbg3, (w, (0, 1, -1)), 1, "+")
+    assert sym == (w, zero) and atoms == () and c == 1
+    assert Coeff(3, {packed: c}) == monomial(3, x=(0, -1, 0), nu=e1)
+    assert ic_lhs(qbg3, (w, (0, 1, -1)), 1, "+").terms == {
+        (w, zero): RationalCoeff(monomial(3, x=(0, -1, 0), nu=e1))}
+    # the block's q^{<eps_1, xi>} cancels the translation's q^{-<eps_1, xi>}
+    # when it is read at eps_1, not when it is read at 0; here
+    # <eps_1, xi> = 1, xi has coordinates (1, 1, 1), and both subsets from
+    # w have down 0
+    xi = (1, 0, 0)
+    for at, mu, q in ((None, e1, 0), (zero, zero, 1)):
+        mono = monomial(3, q=q, x=(-1, -1, -1))
+        assert fold_terms(3, _block(qbg3, w, 1, xi, at=at)).terms == {
+            (w, mu): RationalCoeff(mono), ((2, 1, 3), mu): RationalCoeff(neg(mono))}

@@ -135,8 +135,8 @@ def test_collapsed_sign_fault_fails_cf_with_the_oracle_residual(monkeypatch):
     collapsed = expansions._collapsed
 
     def faulty(qbg, w, xi, src, dst):
-        for i, (sym, mu, key, c) in enumerate(collapsed(qbg, w, xi, src, dst)):
-            yield sym, mu, key, -c if (dst == 1 and i == 0) else c
+        for i, (sym, key, c) in enumerate(collapsed(qbg, w, xi, src, dst)):
+            yield sym, key, -c if (dst == 1 and i == 0) else c
 
     monkeypatch.setattr(expansions, "_collapsed", faulty)
     qbg = QBG(3)

@@ -10,9 +10,9 @@ formed only in ``qbg.move``, so ``rho`` is called nowhere else in src/.
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qalcove"
+from helpers import SRC, callers_in_src
+
 ALCOVE = SRC / "alcove.py"
 
 
@@ -39,21 +39,5 @@ def test_walk_has_no_window_product_and_one_step():
     assert "_step" not in defined
 
 
-def _rho_callers(node, where):
-    """Yield the innermost function around each call of ``rho``."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        where = node.name
-    if isinstance(node, ast.Call) and "rho" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-        yield where
-    for child in ast.iter_child_nodes(node):
-        yield from _rho_callers(child, where)
-
-
 def test_rho_is_called_only_in_move():
-    callers = [
-        f"{path.name}: {where}"
-        for path in sorted(SRC.glob("*.py"))
-        for where in _rho_callers(ast.parse(path.read_text(), filename=str(path)),
-                                  "<module>")]
-    assert callers == ["qbg.py: move"], callers
+    assert callers_in_src("rho") == ["qbg.py: move"]

@@ -9,19 +9,30 @@ from helpers import (
     add_term,
     expand_combo,
     monomial,
+    normalized,
+    term_stream,
     product_certificate,
     shift_lambda,
     specialized_equal,
 )
 from qalcove.alcove import make_chain, subset_stats
 from qalcove.expansions import (
+    expand_to_base,
     ic_cf_first_terms,
     ic_conj_second_terms,
     ic_first_terms,
     ic_lhs,
     ic_rhs_first,
 )
-from qalcove.ring import EXP_MAX, EXP_MIN, DemazureCombo, RationalCoeff, pack
+from qalcove.ring import (
+    EXP_MAX,
+    EXP_MIN,
+    DemazureCombo,
+    RationalCoeff,
+    fold_into,
+    pack,
+    packed_words,
+)
 from qalcove.typec import (
     act,
     eps_vec,
@@ -235,28 +246,30 @@ def test_certificate_polarity(qbg3):
     x = (w, zero_vec(3))
     assert cancellation_certificate(ic_cf_first_terms(qbg3, x, 3))
     assert not cancellation_certificate(ic_first_terms(qbg3, x, 3))
-    single = [(((1, 2, 3), zero_vec(3)), zero_vec(3), pack(3, (0, zero_vec(3), zero_vec(3))), 1)]
+    single = [((((1, 2, 3), zero_vec(3)), ()), pack(3, (0, zero_vec(3), zero_vec(3))), 1)]
     assert cancellation_certificate(single)
 
 
 def _certificate_streams(qbg, w, xi):
-    """Every collapsed-first, alternating-first and collapsed-second stream
-    of (w, xi); some alternating-first streams cancel."""
+    """Every collapsed-first, alternating-first and collapsed-second builder
+    of (w, xi) with its arguments; some alternating-first streams cancel."""
     x = (w, xi)
     for m in range(1, qbg.n + 1):
-        yield list(ic_cf_first_terms(qbg, x, m))
-        yield list(ic_first_terms(qbg, x, m))
+        yield ic_cf_first_terms, (qbg, x, m)
+        yield ic_first_terms, (qbg, x, m)
         for l in range(m, qbg.n + 1):
-            yield list(ic_conj_second_terms(qbg, x, m, l))
+            yield ic_conj_second_terms, (qbg, x, m, l)
 
 
 def _certificates_match_product_oracle(qbg, elements, rng):
+    """Each stream's certificate against the oracle's on the same builder's
+    4-tuple summands."""
     outcomes = set()
     for w in elements:
         for xi in (zero_vec(qbg.n), tuple(rng.randint(-2, 2) for _ in range(qbg.n))):
-            for terms in _certificate_streams(qbg, w, xi):
-                got = cancellation_certificate(terms)
-                assert got == product_certificate(terms), (w, xi)
+            for build, args in _certificate_streams(qbg, w, xi):
+                got = cancellation_certificate(build(*args))
+                assert got == product_certificate(term_stream(build, *args)), (w, xi)
                 outcomes.add(got)
     return outcomes
 
@@ -272,38 +285,44 @@ def test_certificate_matches_product_oracle(qbg2, qbg3, qbg4):
 
 
 def test_certificate_hand_built_streams():
+    """Hand-built 4-tuple streams: the certificate of their ``normalized``
+    entries against the product oracle."""
+    def certificate(stream):
+        return cancellation_certificate(normalized(stream))
+
     n = 2
     sym, mu = ((2, 1), (1, 0)), eps_vec(1, n)
     plus = pack(n, (1, (1, 0), (0, 0)))
     other = pack(n, (2, (0, 0), (0, 0)))
     # +c and -c on one symbol cancel, whatever lies between them
     stream = [(sym, mu, plus, 1), (sym, mu, other, 1), (sym, mu, plus, -1)]
-    assert cancellation_certificate(stream) is product_certificate(stream) is False
+    assert certificate(stream) is product_certificate(stream) is False
     # the same normalized monomial reached from two translations cancels too:
     # V_{y t_xi}(lam+mu) = q^{-<mu,xi>} x^{-c} V_y(lam+mu) with
     # xi = sum c_i alpha_i^vee, here q^-1 x_1^-1 x_2^-1, so q x_1 -> x_2^-1
     shifted = pack(n, (0, (0, -1), (0, 0)))
     stream = [(sym, mu, plus, 1), (((2, 1), (0, 0)), mu, shifted, -1)]
-    assert cancellation_certificate(stream) is product_certificate(stream) is False
+    assert certificate(stream) is product_certificate(stream) is False
     stream = [(sym, mu, plus, 1), (sym, mu, plus, 1), (sym, vec_neg(mu), plus, -1)]
-    assert cancellation_certificate(stream) is product_certificate(stream) is True
+    assert certificate(stream) is product_certificate(stream) is True
 
 
-@pytest.mark.parametrize("xi, edge", [((1, 0), EXP_MIN), ((-1, 0), EXP_MAX)],
-                         ids=["min", "max"])
-def test_certificate_out_of_range_raises(xi, edge):
-    # xi = +-eps_1^vee has simple-coroot coordinates +-(1, 1), so the
-    # translation monomial x_1^-+1 x_2^-+1 pushes an x_1 exponent at the
-    # edge of the packed range past it
-    n = 2
-    sym, mu = ((1, 2), xi), zero_vec(n)
-    bad = pack(n, (0, (edge, 0), (0, 0)))
-    fine = pack(n, (1, (0, 0), (0, 0)))
-    for stream in ([(sym, mu, bad, 1)],
-                   [(sym, mu, fine, 1), (sym, mu, bad, 1), (sym, mu, fine, -1)]):
-        for certificate in (cancellation_certificate, product_certificate):
-            with pytest.raises(ValueError, match="packed range"):
-                certificate(stream)
+@pytest.mark.parametrize("edge", [EXP_MIN, EXP_MAX], ids=["min", "max"])
+def test_certificate_out_of_range_raises(qbg2, edge):
+    # one more step from the edge leaves the x_1 field of the key out of
+    # range: the sum of two keys sets its guard bit (see packed_words)
+    n, zero = 2, zero_vec(2)
+    step = pack(n, (0, (1 if edge == EXP_MAX else -1, 0), zero))
+    bad = pack(n, (0, (edge, 0), zero)) + step - packed_words(n)[0]
+    fine = pack(n, (1, zero, zero))
+    for mu in (zero, eps_vec(1, n)):
+        sym = (((1, 2), mu), ())
+        for stream in ([(sym, bad, 1)], [(sym, fine, 1), (sym, bad, 1), (sym, fine, -1)]):
+            for consume in (cancellation_certificate,
+                            lambda s: fold_into(n, {}, s),
+                            lambda s: expand_to_base(qbg2, {}, s)):
+                with pytest.raises(ValueError, match="packed range"):
+                    consume(stream)
 
 
 def test_conjecture_scan_rank2(qbg2):

@@ -10,6 +10,16 @@ the same down, and the other way round.  Likewise for Theta*_k and Theta_k.
 Any edge rule that reads only the root and the length change keeps this
 reversal, a wrong quantum length change included.  The numbers of subsets
 walked are therefore pinned as well.
+
+The reversal also transposes the Chevalley records.  The '+' record of w
+at k sums over pairs (A_1, B): A_1 in A(w, Gamma*_k(k)) ending at y_1, then
+B in A(y_1, Theta_k) ending at e.  Reversed, B becomes the first subset of
+the '-' record of -e at k (over Theta*_k) and A_1 its second (over
+Gamma_k(k)), ending at -w.  The e-part e^{eps_{y_1(k)}} and the x-part
+x^{-down(A_1) - down(B)} carry over; the q-part q^{<eps_k, down(B)>} and
+the sign (-1)^{|A_1|} are those of the '-' record.  Rebuilding every '-'
+record this way from direct walks is an oracle for ``_chevalley_sum``
+that shares none of its bookkeeping.
 """
 
 import random
@@ -17,7 +27,10 @@ import random
 import pytest
 
 from qalcove.alcove import admissible_subsets, make_chain, subset_stats
+from qalcove.expansions import chevalley_expand
 from qalcove.qbg import QBG
+from qalcove.ring import pack
+from qalcove.typec import alpha_coords, eps_vec, image, pair, vec_add
 
 PAIRS = (("gamma_star", "gamma"), ("theta_star", "theta"))
 # star-chain subsets over every w and k at ranks 2-4
@@ -62,3 +75,49 @@ def test_walk_reversal_rank5_sampled():
     qbg = QBG(5)
     sample = random.Random(5).sample(qbg.group, 24)
     assert _reversal_counts(qbg, sample) == (1231, 1108)
+
+
+def _transposed_records(qbg, k):
+    """{y: {(end, packed key): count}} of the '-' records at k, rebuilt from
+    the '+' pairs (A_1, B) of every w; zero counts dropped."""
+    n = qbg.n
+    head, tail = make_chain("gamma_star", k, n), make_chain("theta", k, n)
+    eps = eps_vec(k, n)
+    out = {}
+    for w in qbg.group:
+        for A1 in admissible_subsets(qbg, w, head):
+            e = eps_vec(image(A1.end, k), n)
+            sign = -1 if len(A1.positions) % 2 else 1
+            for B in admissible_subsets(qbg, A1.end, tail):
+                x = tuple(-c for c in alpha_coords(vec_add(A1.down, B.down)))
+                entry = (_neg(w), pack(n, (pair(eps, B.down), x, e)))
+                record = out.setdefault(_neg(B.end), {})
+                record[entry] = record.get(entry, 0) + sign
+    return {y: {entry: c for entry, c in record.items() if c}
+            for y, record in out.items()}
+
+
+def _check_transposed(qbg, k, elements):
+    """Every '-' record at k of ``elements`` against the transposed pairs;
+    returns how many were compared."""
+    transposed = _transposed_records(qbg, k)
+    for y in elements:
+        record = chevalley_expand(qbg, y, "-", k)
+        assert record.atoms == ((k - 1,) if k > 1 else ())
+        assert (dict(zip(zip(record.ends, record.keys), record.counts))
+                == transposed.get(y, {})), (y, k)
+    return len(elements)
+
+
+@pytest.mark.parametrize("n, records", [(2, 16), (3, 144), (4, 1536)])
+def test_minus_records_are_transposed_plus_pairs(n, records, request):
+    qbg = request.getfixturevalue(f"qbg{n}")
+    assert sum(_check_transposed(qbg, k, qbg.group) for k in range(1, n + 1)) == records
+
+
+def test_minus_records_are_transposed_plus_pairs_rank5_sampled():
+    # the transposition walks every w, so the sample is of k and of y
+    rng = random.Random(5)
+    qbg = QBG(5)
+    k = rng.randrange(1, 6)
+    assert _check_transposed(qbg, k, rng.sample(qbg.group, 48)) == 48
