@@ -196,21 +196,15 @@ def chain_moves(chain: RootChain) -> tuple[Move, ...]:
     return tuple(move(root_abs(gamma)) for gamma in chain.entries)
 
 
-def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
-    """All w-admissible subsets of the chain, with endpoint and down.
+def walk_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
+    """All w-admissible subsets of the chain, with endpoint and down,
+    walked anew and not stored.
 
     A preorder walk emits each subset, then extends it by every later
     position with an edge: one visit per subset, in position order with no
     sort.  A step reads its position's ``qbg.move``, the same data
     ``QBG.edge`` reads, and tests the edge inline.
-    Results are memoized on (w, chain) inside the QBG instance.
     """
-    cache = qbg._adm_cache
-    key = (w, chain)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
     moves = chain_moves(chain)
     lengths = qbg.length
     size = len(moves)
@@ -229,8 +223,22 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
                 rec(i + 1, positions + (i + 1,), y, tuple(map(add, down, av)))
 
     rec(0, (), w, zero_vec(chain.n))
-    cache[key] = out
     return out
+
+
+def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
+    """``walk_subsets``, memoized on (w, chain) inside the QBG instance.
+
+    Callers that read a walk again use this; a walk read once (the
+    Gamma*_k(k) and Theta*_k heads of a Chevalley record) calls
+    ``walk_subsets`` and is not stored.
+    """
+    cache = qbg._adm_cache
+    key = (w, chain)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = walk_subsets(qbg, w, chain)
+    return hit
 
 
 def subset_stats(qbg: QBG, w: Window, chain: RootChain, positions) -> AdmissibleSubset:

@@ -150,10 +150,16 @@ def _cmd_verify(args) -> tuple[str, int]:
         raise ValueError("--xi applies to the first, second and cf variants only")
     ms = _letters(args)
     elements = [w] if w else weyl_group(n)
-    tasks = [(v, w, m, xi) for v in variants for w in elements for m in ms]
-    if args.sample:
-        rng = random.Random(args.seed)
-        tasks = rng.sample(tasks, min(args.sample, len(tasks)))
+    # task j is (variant, element, m) in that nesting order; a sample draws
+    # indices, which random.sample picks exactly as it would the tasks
+    size = len(variants) * len(elements) * len(ms)
+    picks = (random.Random(args.seed).sample(range(size), min(args.sample, size))
+             if args.sample else range(size))
+    tasks = []
+    for j in picks:
+        j, i = divmod(j, len(ms))
+        v, e = divmod(j, len(elements))
+        tasks.append((variants[v], elements[e], ms[i], xi))
     t0 = time.perf_counter()
     # an affinity mask can allow fewer CPUs than the host has
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

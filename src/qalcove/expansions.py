@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .alcove import admissible_subsets, filtered_A, make_chain
+from .alcove import admissible_subsets, filtered_A, make_chain, walk_subsets
 from .qbg import QBG
 from .ring import (
     Buckets,
@@ -172,6 +172,11 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
     monomial x^{-down(B)} of B, added as one sum of packed keys; ed(A_1) mu
     is eps of the letter ed(A_1)(t).  ValueError if a key left the packed
     range.
+
+    The head walk from w is read only here, once per record, so it is
+    walked uncached; the tail walks from each ed(A_1) are the blocks'
+    cached ones.  Few distinct keys occur in all records, so each kept key
+    is the one int ``QBG._keys`` holds for its value.
     """
     n = qbg.n
     mu, zero = eps_vec(t, n), zero_vec(n)
@@ -182,7 +187,7 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
     acc: dict[tuple[Window, int], int] = {}
     x_keys: dict[Vec, int] = {}  # down(B) -> packed x^{-down(B)}
     seen = 0
-    for A1 in admissible_subsets(qbg, w, head):
+    for A1 in walk_subsets(qbg, w, head):
         off = (translation_key(mu, A1.down)
                + _eps_key(n, image(A1.end, t)) - 2 * bias)
         for B in admissible_subsets(qbg, A1.end, tail):
@@ -194,7 +199,8 @@ def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
             entry = (B.end, p)
             acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
     check_packed(n, seen)
-    kept = [(end, p, c) for (end, p), c in acc.items() if c]
+    one = qbg._keys.setdefault
+    kept = [(end, one(p, p), c) for (end, p), c in acc.items() if c]
     ends, keys, counts = zip(*kept) if kept else ((), (), ())
     return ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
 

@@ -81,6 +81,8 @@ class QBG:
         self._chev_cache: dict = {}      # (w, sign, k) -> ChevalleyExpansion,
                                          # flat tuples of ints, no Coeff
         self._chained_sums: dict = {}    # (w, src, dst) -> chained_sum
+        self._keys: dict = {}            # packed key -> the one int of that
+                                         # value the Chevalley records hold
 
     # -- edges ---------------------------------------------------------
 

@@ -315,15 +315,20 @@ def cancellation_certificate(terms: Iterable[Entry]) -> bool:
 
     Each summand is a ``fold_into`` entry ((symbol, atoms), packed
     monomial, count); the stream is cancellation-free when no (symbol,
-    atoms, monomial) is hit with both signs.  A summand with a key outside
-    the packed range raises ValueError before it is compared.
+    atoms, monomial) is hit with both signs.  If a key read before the
+    answer lies outside the packed range, ValueError is raised instead: the
+    keys are OR-ed together and checked once, as in ``expand_to_base``.
     """
     seen: dict[tuple, bool] = {}
+    bits, sym, free = 0, None, True
     for sym, key, c in terms:
-        check_packed(len(sym[0][1]), key)
+        bits |= key
         if seen.setdefault((sym, key), c > 0) != (c > 0):
-            return False
-    return True
+            free = False
+            break
+    if sym is not None:
+        check_packed(len(sym[0][1]), bits)
+    return free
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from qalcove import cli
 from qalcove.cli import main, table_lines
 from qalcove.qbg import QBG
+from qalcove.typec import parse_word, weyl_group
+from qalcove.verify import VerificationReport
 
 GOLDEN = Path(__file__).parent / "golden"
 # a device on which every write fails with ENOSPC
@@ -267,6 +271,66 @@ def test_pool_size_is_capped_by_cores_and_tasks(monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, _, _ = run(base, capsys)
     assert code == 0 and sizes == [4, 2, 2, 3]
+
+
+def _stub_verifiers(monkeypatch, calls):
+    """Replace every verifier by one that records its task, in call order,
+    and reports it as its instance; no graph is built."""
+    def stub(variant):
+        def check(qbg, w, m, xi):
+            calls.append((variant, w, m, xi))
+            return VerificationReport(f"{variant} {w} {m} {xi}", "verified", 1, 1, 0.0)
+        return check
+
+    for variant in cli.VARIANTS:
+        monkeypatch.setitem(cli.VERIFIERS, variant, stub(variant))
+    monkeypatch.setattr(cli, "QBG", lambda n: None)
+
+
+@pytest.mark.parametrize("rank, extra, variants, w, ms, xi, sizes", [
+    (2, [], "first,second,key", None, (1, 2), (0, 0), (1, 5, 24, 50)),
+    (3, ["--variant", "key,first"], "key,first", None, (1, 2, 3), (0, 0, 0),
+     (1, 7, 287, 288, 1000)),
+    (3, ["--m", "2", "--variant", "cf,second"], "cf,second", None, (2,), (0, 0, 0),
+     (3, 40, 96)),
+    (4, ["--w", "s1 s2"], "first,second,key", "s1 s2", (1, 2, 3, 4), (0,) * 4,
+     (1, 5, 12, 13)),
+    (4, ["--xi", "1,0,0,-1", "--variant", "second,cf,first"], "second,cf,first",
+     None, (1, 2, 3, 4), (1, 0, 0, -1), (1, 100, 4000)),
+])
+def test_sample_reports_the_draw_from_the_full_task_list(
+        rank, extra, variants, w, ms, xi, sizes, monkeypatch, capsys):
+    """``--sample N --seed S`` runs and reports exactly the tasks of
+    ``random.Random(S).sample(full_task_list, N)``, in that order."""
+    elements = [parse_word(w, rank)] if w else weyl_group(rank)
+    full = [(v, e, m, xi) for v in variants.split(",") for e in elements for m in ms]
+    for size in sizes:
+        for seed in (0, 5, 9):
+            calls = []
+            _stub_verifiers(monkeypatch, calls)
+            code, out, _ = run(["verify", "--rank", str(rank), *extra, "--sample", str(size),
+                                "--seed", str(seed), "--format", "json"], capsys)
+            want = random.Random(seed).sample(full, min(size, len(full)))
+            assert code == 0 and calls == want
+            assert [r["instance"] for r in json.loads(out)["reports"]] == sorted(
+                f"{v} {e} {m} {x}" for v, e, m, x in want)
+
+
+def test_sample_draws_indices_not_the_task_list(monkeypatch, capsys):
+    """A rank-6 sample of 10 allocates far less than the list of all
+    829 440 tasks, which alone takes about 66 MB."""
+    calls = []
+    _stub_verifiers(monkeypatch, calls)
+    tracemalloc.start()
+    try:
+        code, _, _ = run(["verify", "--rank", "6", "--sample", "10", "--jobs", "1",
+                          "--format", "json"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(calls) == 10
+    # 5.2 MB traced, nearly all of it the 46 080 windows; 71 MB with the list
+    assert peak < 20 * 2 ** 20
 
 
 def test_verify_builds_one_graph(monkeypatch, capsys):

@@ -31,7 +31,7 @@ from helpers import (
     term_stream,
     term_block,
 )
-from qalcove import expansions
+from qalcove import cli, expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
     ChevalleyExpansion,
@@ -160,6 +160,26 @@ def test_chevalley_expand_matches_oracle(qbg2, qbg3):
                 for sign in "+-":
                     assert_record(chevalley_expand(qbg, w, sign, k),
                                   chevalley_oracle(qbg, w, sign, k, cache))
+
+
+def test_sweep_caches_follow_the_cache_rules():
+    """After an exhaustive rank-3 sweep: every record key is the one int
+    ``QBG._keys`` holds for its value, the walk cache holds no star walk
+    (``_chevalley_sum`` walks those uncached), and the records equal the
+    oracle's."""
+    qbg = QBG(3)
+    for w in qbg.group:
+        for m in range(1, 4):
+            for variant in ("first", "second", "key"):
+                assert cli.VERIFIERS[variant](qbg, w, m, (0, 0, 0)).ok
+    assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
+    records = qbg._chev_cache
+    assert len(records) == 48 * 3 * 2
+    assert all(key is qbg._keys[key] for r in records.values() for key in r.keys)
+    assert set(qbg._keys) == {key for r in records.values() for key in r.keys}
+    cache = {}
+    for (w, sign, k), record in records.items():
+        assert_record(record, chevalley_oracle(qbg, w, sign, k, cache))
 
 
 @pytest.mark.parametrize("xi", [None, "shifted"])
