@@ -9,8 +9,8 @@ e^{+-w(eps_m)} gch V_{w t_xi}(lam) back into characters at the shifted
 weights lam +- eps_j:
 
 * ``ic_rhs_first`` / ``ic_rhs_second``  -- alternating sums over decreasing
-  letter sequences and chained filtered admissible subsets, evaluated per
-  target letter by the memoized recursion ``chained_sum``;
+  letter sequences and chained filtered admissible subsets, evaluated for
+  every target letter by one uncached forward pass, ``chained_sums``;
 * ``ic_rhs_cancel_free_first``          -- collapsed form, one directed path
   per target letter;
 * ``ic_rhs_conjecture_second``          -- collapsed second form whose
@@ -292,41 +292,33 @@ def chained_filtered(qbg: QBG, w: Window, src: int,
 ChainedSum = dict[AffinePair, int]
 
 
-def chained_sum(qbg: QBG, w: Window, src: int, dst: int) -> ChainedSum:
-    """The chained filtered sums over every sequence src -> dst, tallied.
+def chained_sums(qbg: QBG, w: Window, src: int) -> dict[int, ChainedSum]:
+    """The chained filtered sums from src to every lower letter, in one pass.
 
-    Maps (end, total down) to the signed count of the products that
-    ``chained_filtered`` streams along the sequences of ``enumerate_S``;
-    zero counts are dropped.  It recurses over the next letter a with
-    dst <= a < src: each A in filtered_A(w, src, a) contributes
-    (-1)^{|A|-1} times chained_sum(ed(A), a, dst) shifted by down(A), where
-    src == dst is the empty sequence {(w, 0): 1}.  Results are memoized on
-    the QBG and shared, so callers must not mutate them.
+    Maps each letter dst below src to its tally: (end, total down) to the
+    signed count of the products that ``chained_filtered`` streams along the
+    sequences of ``enumerate_S(src, dst)``; zero counts are dropped.  The
+    pass takes the letters from src downward, starting from {(w, 0): 1} at
+    src.  When it reaches a letter b, the tally at b is complete, and each
+    of its (v, d) pushes (-1)^{|A|-1} times its count, for every A in
+    filtered_A(v, b, a), into the tally of each lower letter a, keyed
+    (ed(A), d + down(A)).  Nothing is stored on the QBG.
     """
-    cache = qbg._chained_sums
-    key = (w, src, dst)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     n = qbg.n
-    check_letters(n, src, dst)
-    ps, pd = letter_pos(src, n), letter_pos(dst, n)
-    if pd > ps:
-        raise ValueError(f"dst {dst} must not follow src {src}")
-    if pd == ps:
-        out = {(w, zero_vec(n)): 1}
-    else:
-        acc: ChainedSum = {}
-        for p in range(pd, ps):
-            a = letter_from_pos(p, n)
-            for A in filtered_A(qbg, w, src, a):
-                s = _sign(len(A.positions) - 1)
-                for (v, d), c in chained_sum(qbg, A.end, a, dst).items():
-                    k = (v, vec_add(A.down, d))
-                    acc[k] = acc.get(k, 0) + s * c
-        out = {k: c for k, c in acc.items() if c}
-    cache[key] = out
-    return out
+    check_letters(n, src, src)
+    letters = [letter_from_pos(p, n) for p in range(letter_pos(src, n), 0, -1)]
+    sums: dict[int, ChainedSum] = {a: {} for a in letters}
+    sums[src] = {(w, zero_vec(n)): 1}
+    for i, b in enumerate(letters):
+        tally = sums[b] = {k: c for k, c in sums[b].items() if c}
+        for (v, d), c in tally.items():
+            for a in letters[i + 1:]:
+                out = sums[a]
+                for A in filtered_A(qbg, v, b, a):
+                    k = (A.end, vec_add(d, A.down))
+                    out[k] = out.get(k, 0) + _sign(len(A.positions) - 1) * c
+    del sums[src]
+    return sums
 
 
 def _check_m(n: int, m: int):
@@ -370,10 +362,13 @@ def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entr
             yield from _block(qbg, v, dst, vec_add(d, xi), s)
 
 
-def _summed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
-    """The same blocks, one per ``chained_sum`` entry, scaled by its count."""
-    for (v, d), c in chained_sum(qbg, w, src, dst).items():
-        yield from _block(qbg, v, dst, vec_add(d, xi), c)
+def _summed(sums: dict[int, ChainedSum]):
+    """The same blocks read from one ``chained_sums`` table: for dst, one
+    block per entry of sums[dst], scaled by its count."""
+    def blocks(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
+        for (v, d), c in sums[dst].items():
+            yield from _block(qbg, v, dst, vec_add(d, xi), c)
+    return blocks
 
 
 def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
@@ -466,18 +461,21 @@ def fold_terms(n: int, terms: Iterable[Entry]) -> DemazureCombo:
 
 
 def ic_first_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
-    """The summands of ``ic_first_terms`` with the sequence sums from
-    ``chained_sum``: one block per entry, scaled by its count."""
+    """The summands of ``ic_first_terms`` with the sequence sums of every
+    target letter from one ``chained_sums`` table: one block per entry,
+    scaled by its count."""
     _check_m(qbg.n, m)
-    return _inverse_terms(qbg, x, m, range(1, m), _summed)
+    return _inverse_terms(qbg, x, m, range(1, m), _summed(chained_sums(qbg, x[0], m)))
 
 
 def ic_second_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
-    """The summands of ``ic_second_terms`` with the sequence sums from
-    ``chained_sum``: one block per entry, scaled by its count."""
+    """The summands of ``ic_second_terms`` with the sequence sums of every
+    target letter from one ``chained_sums`` table: one block per entry,
+    scaled by its count."""
     n = qbg.n
     _check_m(n, m)
-    return _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _summed)
+    return _inverse_terms(qbg, x, -m, _second_dsts(n, m, n),
+                          _summed(chained_sums(qbg, x[0], -m)))
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

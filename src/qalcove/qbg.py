@@ -76,11 +76,11 @@ class QBG:
         self.group = weyl_group(n)
         self.pos_roots = positive_roots(n)
         self.length = {w: length(w) for w in self.group}
-        # memo tables of the alcove and expansions layers, keyed by element
+        # memo tables of the alcove and expansions layers, keyed by element;
+        # chained sums are recomputed per instance, not stored
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
         self._chev_cache: dict = {}      # (w, sign, k) -> ChevalleyExpansion,
                                          # flat tuples of ints, no Coeff
-        self._chained_sums: dict = {}    # (w, src, dst) -> chained_sum
         self._keys: dict = {}            # packed key -> the one int of that
                                          # value the Chevalley records hold
 

@@ -27,7 +27,7 @@ from typing import Iterable
 from .alcove import admissible_subsets, make_chain, subset_stats
 from .expansions import (
     _block,
-    chained_sum,
+    chained_sums,
     conj_second_blocks,
     expand_to_base,
     fold_terms,
@@ -297,14 +297,14 @@ def collapse_check(qbg: QBG, w: Window, m: int, j: int) -> bool:
     """Group-algebra collapse of the chained filtered sums onto one path.
 
     The signed sum over decreasing sequences m -> j and chained filtered
-    subsets, tallied by (end, total down) in ``chained_sum``, must be the
+    subsets, tallied by (end, total down) in ``chained_sums``, must be the
     single term (ed(p), wt(p)) with coefficient 1 for the greedy directed
     path p: w -> j.
     """
     if not 1 <= j < m <= qbg.n:
         raise ValueError(f"need 1 <= j < m <= n, got j={j} m={m}")
     p = qbg.p_path(w, m, j)
-    return chained_sum(qbg, w, m, j) == {(p.end, p.weight): 1}
+    return chained_sums(qbg, w, m)[j] == {(p.end, p.weight): 1}
 
 
 # -- cancellation certificates and the conjecture scan --------------------

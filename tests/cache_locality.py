@@ -62,7 +62,6 @@ class CountedDict(dict):
 # each cache of the QBG, with how its keys are grouped, in report order
 CACHES = {
     "_adm_cache": lambda key: key[1].kind,
-    "_chained_sums": lambda key: "_chained_sums",
     "_chev_cache": lambda key: "_chev_cache",
     "_keys": lambda key: "_keys",
 }

@@ -22,6 +22,7 @@ from qalcove.ring import (
 )
 from qalcove.typec import (
     act,
+    check_letters,
     coroot,
     eps_vec,
     image,
@@ -338,6 +339,35 @@ def oracle_filtered(qbg, w, src, dst):
         if positions and (u[src - 1] if src > 0 else -u[-src - 1]) == dst:
             out.append((positions, end, down))
     return out
+
+
+def oracle_chained_sum(qbg, w, src, dst):
+    """The chained filtered sums over every sequence src -> dst, tallied by
+    the recursion the library used before ``chained_sums``, uncached.
+
+    Maps (end, total down) to the signed count of the products that
+    ``chained_filtered`` streams along the sequences of ``enumerate_S``;
+    zero counts are dropped.  It recurses over the next letter a with
+    dst <= a < src: each A in filtered_A(w, src, a) contributes
+    (-1)^{|A|-1} times oracle_chained_sum(ed(A), a, dst) shifted by
+    down(A), where src == dst is the empty sequence {(w, 0): 1}.
+    """
+    n = qbg.n
+    check_letters(n, src, dst)
+    ps, pd = letter_pos(src, n), letter_pos(dst, n)
+    if pd > ps:
+        raise ValueError(f"dst {dst} must not follow src {src}")
+    if pd == ps:
+        return {(w, zero_vec(n)): 1}
+    acc = {}
+    for p in range(pd, ps):
+        a = letter_from_pos(p, n)
+        for A in filtered_A(qbg, w, src, a):
+            s = expansions._sign(len(A.positions) - 1)
+            for (v, d), c in oracle_chained_sum(qbg, A.end, a, dst).items():
+                k = (v, vec_add(A.down, d))
+                acc[k] = acc.get(k, 0) + s * c
+    return {k: c for k, c in acc.items() if c}
 
 
 # --- oracles with no caller in the library ----------------------------------

@@ -1,9 +1,11 @@
-"""The chained-sum recursion against the sequence-by-sequence streams.
+"""The chained-sum pass against the sequence-by-sequence streams.
 
-``ic_rhs_first`` / ``ic_rhs_second`` evaluate the letter-sequence sums with
-the memoized ``chained_sum``; ``ic_first_terms`` / ``ic_second_terms`` still
-enumerate every decreasing sequence and every chained product, and serve as
-the reference here.
+``ic_rhs_first`` / ``ic_rhs_second`` evaluate the letter-sequence sums of
+every target letter with one uncached forward pass, ``chained_sums``;
+``ic_first_terms`` / ``ic_second_terms`` still enumerate every decreasing
+sequence and every chained product, and serve as the reference here, with
+the recursion the pass replaced (``helpers.oracle_chained_sum``) and the
+tally of ``enumerate_S`` x ``chained_filtered``.
 """
 
 import random
@@ -11,11 +13,11 @@ from collections import Counter
 
 import pytest
 
-from qalcove import expansions
+from helpers import oracle_chained_sum
 from qalcove.alcove import filtered_A, make_chain
 from qalcove.expansions import (
     chained_filtered,
-    chained_sum,
+    chained_sums,
     enumerate_S,
     fold_terms,
     ic_first_terms,
@@ -23,8 +25,7 @@ from qalcove.expansions import (
     ic_rhs_second,
     ic_second_terms,
 )
-from qalcove.qbg import QBG
-from qalcove.typec import letter_from_pos, zero_vec
+from qalcove.typec import letter_from_pos, letter_pos, zero_vec
 
 
 def _tally(qbg, w, src, dst):
@@ -61,52 +62,61 @@ def test_rhs_builders_match_streams_rank4_sample(qbg4):
     _assert_rhs_match_streams(qbg4, elements, [zero_vec(4)])
 
 
-def test_chained_sum_matches_tally_rank3(qbg3):
-    n = qbg3.n
-    pairs = [(letter_from_pos(ps, n), letter_from_pos(pd, n))
-             for ps in range(1, 2 * n + 1) for pd in range(1, ps)]
-    assert len(pairs) == 15
-    for w in qbg3.group:
-        for src, dst in pairs:
-            assert chained_sum(qbg3, w, src, dst) == _tally(qbg3, w, src, dst), \
-                (w, src, dst)
+def _letters_below(src, n):
+    return [letter_from_pos(p, n) for p in range(letter_pos(src, n) - 1, 0, -1)]
+
+
+def _assert_tables_match_oracles(qbg, elements):
+    """Every table of ``chained_sums`` from each element, barred sources
+    included, against the recursion and the sequence-by-sequence tally."""
+    n = qbg.n
+    sums = 0
+    for w in elements:
+        for src in (letter_from_pos(p, n) for p in range(1, 2 * n + 1)):
+            table = chained_sums(qbg, w, src)
+            assert list(table) == _letters_below(src, n), (w, src)
+            for dst, got in table.items():
+                assert got == oracle_chained_sum(qbg, w, src, dst) \
+                    == _tally(qbg, w, src, dst), (w, src, dst)
+                sums += 1
+    return sums
+
+
+def test_chained_sum_matches_tally_rank3(qbg2, qbg3):
+    assert _assert_tables_match_oracles(qbg2, qbg2.group) == 8 * 6
+    assert _assert_tables_match_oracles(qbg3, qbg3.group) == 48 * 15
+
+
+def test_chained_sums_match_oracles_rank4_sample(qbg4):
+    elements = random.Random(4).sample(qbg4.group, 12)
+    assert _assert_tables_match_oracles(qbg4, elements) == 12 * 28
 
 
 def test_chained_sum_empty_sequence_and_order(qbg3):
     w = (2, -3, 1)
-    assert chained_sum(qbg3, w, -2, -2) == {(w, zero_vec(3)): 1}
-    with pytest.raises(ValueError):  # -2 follows 3 in the letter order
-        chained_sum(qbg3, w, 3, -2)
+    assert chained_sums(qbg3, w, 1) == {}  # no letter lies below 1
+    table = chained_sums(qbg3, w, 3)
+    assert list(table) == [2, 1]
+    # -2 follows 3 in the letter order, and -4 is no letter at rank 3 (a
+    # lookup by position once read it as 3)
+    for dst in (3, -2, -4):
+        with pytest.raises(KeyError):
+            table[dst]
 
 
-def test_chained_sum_cache_is_declared_on_qbg():
-    qbg = QBG(2)
-    assert vars(qbg)["_chained_sums"] == {}
-    w = qbg.group[3]
-    got = chained_sum(qbg, w, -1, 1)
-    assert qbg._chained_sums[(w, -1, 1)] is got
-    assert chained_sum(qbg, w, -1, 1) is got
+@pytest.mark.parametrize("src", [4, -4, 0, -6])
+def test_chained_sums_rejects_a_src_outside_the_rank(qbg3, src):
+    # letter_pos(-6, 3) is the position of 1: unchecked, the pass would
+    # return the empty table of the letter 1
+    with pytest.raises(ValueError, match=f"src={src}"):
+        chained_sums(qbg3, (1, 2, 3), src)
 
 
 @pytest.mark.parametrize("src, dst", [(-2, -4), (-2, 4), (-1, -4)])
 def test_letters_outside_the_rank_are_rejected(qbg3, src, dst):
-    # filtered_A raised IndexError on these, and chained_sum returned the
-    # sum for another dst: letter_pos(-4, 3) is the position of 3
-    for build in (filtered_A, chained_sum):
-        with pytest.raises(ValueError, match=f"src={src} dst={dst}"):
-            build(qbg3, (1, 2, 3), src, dst)
-    assert ((1, 2, 3), src, dst) not in qbg3._chained_sums
-
-
-def test_chained_sum_checks_letters_on_a_miss_only(monkeypatch):
-    checked = []
-    check = expansions.check_letters
-    monkeypatch.setattr(expansions, "check_letters",
-                        lambda *args: checked.append(args) or check(*args))
-    qbg, w = QBG(2), (2, 1)
-    got = chained_sum(qbg, w, 1, 1)
-    assert checked == [(2, 1, 1)]
-    assert chained_sum(qbg, w, 1, 1) is got and len(checked) == 1
+    # filtered_A raised IndexError on these
+    with pytest.raises(ValueError, match=f"src={src} dst={dst}"):
+        filtered_A(qbg3, (1, 2, 3), src, dst)
 
 
 def test_make_chain_is_cached():

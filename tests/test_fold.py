@@ -40,6 +40,7 @@ from qalcove.expansions import (
     _mu_index,
     _second_dsts,
     _summed,
+    chained_sums,
     chevalley_expand,
     fold_terms,
     ic_lhs,
@@ -136,9 +137,11 @@ def check_element(qbg, w, xi, cache):
     for m in range(1, n + 1):
         for built, stream in (
                 (ic_rhs_first(qbg, x, m),
-                 term_stream(_inverse_terms, qbg, x, m, range(1, m), _summed)),
+                 term_stream(_inverse_terms, qbg, x, m, range(1, m),
+                             _summed(chained_sums(qbg, w, m)))),
                 (ic_rhs_second(qbg, x, m),
-                 term_stream(_inverse_terms, qbg, x, -m, _second_dsts(n, m, n), _summed))):
+                 term_stream(_inverse_terms, qbg, x, -m, _second_dsts(n, m, n),
+                             _summed(chained_sums(qbg, w, -m))))):
             oracle = fold_oracle(n, coeff_terms(stream))
             assert_same(built, oracle)
             assert_same(expand_buckets(qbg, built), expand_oracle(qbg, oracle, cache))
