@@ -6,21 +6,22 @@ monomial, count) entries, with no rational coefficient.  Its ``combo`` is
 the rational combination, built only to show or compare it.  The ``ic_*``
 builders produce right-hand sides for the inverse problem, expanding
 e^{+-w(eps_m)} gch V_{w t_xi}(lam) back into characters at the shifted
-weights lam +- eps_j:
+weights lam +- eps_j.  ``_inverse_blocks`` builds every form from its
+target letters and one count source, which gives each letter after the
+first its ((end, down), count) pairs, one block each:
 
-* ``ic_rhs_first`` / ``ic_rhs_second``  -- alternating sums over decreasing
-  letter sequences and chained filtered admissible subsets, evaluated for
-  every target letter by one uncached forward pass, ``chained_sums``;
-* ``ic_rhs_cancel_free_first``          -- collapsed form, one directed path
-  per target letter;
-* ``ic_rhs_conjecture_second``          -- collapsed second form whose
-  unbarred block stops at letter ``l``; ``conj_second_blocks`` returns
-  its blocks one list each, so a scan over l can add one block per step.
+* ``_streamed``  -- every decreasing letter sequence and chained filtered
+  product, unsummed: ``ic_first_terms`` / ``ic_second_terms``;
+* ``_summed``    -- one ``chained_sums`` table per instance: ``ic_rhs_first``
+  / ``ic_rhs_second`` and the ``*_summed`` streams ``verify`` reads;
+* ``_collapsed`` -- the one directed path ``p_path``: the collapsed first
+  form and the second form cut at ``l``, whose blocks ``conj_second_blocks``
+  returns one list each, so a scan over l can add one block per step.
 
 ``ic_lhs`` and the ``ic_rhs_*`` builders return a ``DemazureCombo`` keyed
 by (window, weight shift), for display; the ``*_terms`` and ``*_summed``
-generators stream the individual summands before any cancellation occurs,
-and ``ic_lhs_term`` is the one summand of ``ic_lhs``.  A summand is the
+streams yield the summands before any cancellation, and ``ic_lhs_term``
+is the one summand of ``ic_lhs``.  A summand is the
 entry ((symbol (y, mu), no atoms), key, c) that ``ring.fold_into`` reads:
 c times the packed monomial ``key`` times gch V_y(lam + mu).  The key
 already holds the translation of the paper's gch V_{y t_xi}(lam + mu),
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .alcove import admissible_subsets, filtered_A, make_chain, walk_subsets
 from .qbg import QBG
@@ -355,94 +356,87 @@ def _block_chain(t: int, n: int):
     return make_chain("gamma", t, n) if t > 0 else make_chain("theta", -t, n)
 
 
-def _streamed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
-    """Blocks for dst after every sequence and chained product, one by one."""
-    for seq in enumerate_S(src, dst, qbg.n):
-        for v, d, s in chained_filtered(qbg, w, src, seq):
-            yield from _block(qbg, v, dst, vec_add(d, xi), s)
+# counts(qbg, w, src) gives, per target letter dst, the ((end, total down),
+# count) pairs whose blocks dst gets.
+Counts = Callable[[int], Iterable[tuple[AffinePair, int]]]
 
 
-def _summed(sums: dict[int, ChainedSum]):
-    """The same blocks read from one ``chained_sums`` table: for dst, one
-    block per entry of sums[dst], scaled by its count."""
-    def blocks(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
-        for (v, d), c in sums[dst].items():
-            yield from _block(qbg, v, dst, vec_add(d, xi), c)
-    return blocks
+def _streamed(qbg: QBG, w: Window, src: int) -> Counts:
+    """Each sequence of ``enumerate_S`` and product ``chained_filtered``
+    streams along it, counted by its sign, with nothing summed."""
+    return lambda dst: (((v, d), s) for seq in enumerate_S(src, dst, qbg.n)
+                        for v, d, s in chained_filtered(qbg, w, src, seq))
 
 
-def _collapsed(qbg: QBG, w: Window, xi: Vec, src: int, dst: int) -> Iterator[Entry]:
-    """The block for dst after the single directed path ``p_path``."""
-    p = qbg.p_path(w, src, dst)
-    yield from _block(qbg, p.end, dst, vec_add(p.weight, xi))
+def _summed(qbg: QBG, w: Window, src: int) -> Counts:
+    """The items of one ``chained_sums`` table, built at the call."""
+    sums = chained_sums(qbg, w, src)
+    return lambda dst: sums[dst].items()
 
 
-def _inverse_blocks(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
-                    chained) -> Iterator[Iterator[Entry]]:
-    """The block for src from w, then the chained blocks for each dst."""
-    w, xi = x
-    yield _block(qbg, w, src, xi)
-    for dst in dsts:
-        yield chained(qbg, w, xi, src, dst)
+def _collapsed(qbg: QBG, w: Window, src: int) -> Counts:
+    """The end and weight of the one directed path ``p_path``, count 1."""
+    return lambda dst: [((p.end, p.weight), 1) for p in [qbg.p_path(w, src, dst)]]
 
 
-def _inverse_terms(qbg: QBG, x: AffinePair, src: int, dsts: Iterable[int],
-                   chained) -> Iterator[Entry]:
-    """The summands of ``_inverse_blocks``, block after block."""
-    yield from chain.from_iterable(_inverse_blocks(qbg, x, src, dsts, chained))
+def _inverse_blocks(qbg: QBG, x: AffinePair, m: int, l: int | None,
+                    counts: Callable[[QBG, Window, int], Counts]
+                    ) -> list[Iterator[Entry]]:
+    """The blocks of an inverse form, one lazy stream per letter.
 
-
-def _second_dsts(n: int, m: int, l: int) -> list[int]:
-    """Chained targets of the second form: -(m+1)..-n, then 1..l."""
-    return [-j for j in range(m + 1, n + 1)] + list(range(1, l + 1))
-
-
-def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
-    """Summands of the expansion of e^{+w(eps_m)} gch V_{w t_xi}(lam).
-
-    One block over the full eps_m-chain subsets lands at lam + eps_m; for
-    each j < m, chained filtered subsets along every decreasing sequence
-    from m to j feed a block landing at lam + eps_j.
-    """
-    _check_m(qbg.n, m)
-    yield from _inverse_terms(qbg, x, m, range(1, m), _streamed)
-
-
-def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
-    """Summands of the expansion of e^{-w(eps_m)} gch V_{w t_xi}(lam).
-
-    Blocks land at lam - eps_m directly, at lam - eps_j for barred targets
-    j = m+1..n, and at lam + eps_j for unbarred targets j = 1..n.
+    The first form (l None) has the letters m, then 1..m-1; the second form
+    cut at l has -m, then -(m+1)..-n and 1..l.  The first letter src gets
+    the block from w; each later letter dst gets, per ((v, d), c) of
+    ``counts(qbg, w, src)(dst)``, the block from v for translation d, scaled
+    by c; xi is added to every translation.  m and l are checked and
+    ``counts`` is called now; a letter's pairs are read with its block.
     """
     n = qbg.n
     _check_m(n, m)
-    yield from _inverse_terms(qbg, x, -m, _second_dsts(n, m, n), _streamed)
+    if l is None:
+        src, dsts = m, range(1, m)
+    elif m <= l <= n:
+        src, dsts = -m, [*range(-m - 1, -n - 1, -1), *range(1, l + 1)]
+    else:
+        raise ValueError(f"l must be in {m}..{n}, got {l}")
+    w, xi = x
+    pairs = counts(qbg, w, src)
+
+    def letter(dst: int) -> Iterator[Entry]:
+        for (v, d), c in pairs(dst):
+            yield from _block(qbg, v, dst, vec_add(d, xi), c)
+
+    return [_block(qbg, w, src, xi), *map(letter, dsts)]
+
+
+def ic_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
+    """Summands of the expansion of e^{+w(eps_m)} gch V_{w t_xi}(lam):
+    the block for m lands at lam + eps_m, and each j < m gets one block at
+    lam + eps_j per decreasing sequence from m to j and chained product."""
+    yield from chain.from_iterable(_inverse_blocks(qbg, x, m, None, _streamed))
+
+
+def ic_second_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
+    """Summands of the expansion of e^{-w(eps_m)} gch V_{w t_xi}(lam):
+    blocks land at lam - eps_m, at lam - eps_j for the barred targets
+    j = m+1..n and at lam + eps_j for j = 1..n, streamed as in
+    ``ic_first_terms``."""
+    yield from chain.from_iterable(_inverse_blocks(qbg, x, m, qbg.n, _streamed))
 
 
 def ic_cf_first_terms(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
-    """Summands of the collapsed (cancellation-free) first expansion.
-
-    The chained sums of ``ic_first_terms`` collapse to a single directed
-    path per target letter j, with q-exponent read off the path weight.
-    """
-    _check_m(qbg.n, m)
-    yield from _inverse_terms(qbg, x, m, range(1, m), _collapsed)
+    """Summands of the collapsed (cancellation-free) first expansion: the
+    sums of ``ic_first_terms`` collapse to one directed path per target
+    letter, whose weight gives the block's translation."""
+    yield from chain.from_iterable(_inverse_blocks(qbg, x, m, None, _collapsed))
 
 
 def conj_second_blocks(qbg: QBG, x: AffinePair, m: int,
                        l: int) -> list[list[Entry]]:
-    """The blocks of the collapsed second expansion with unbarred cut ``l``.
-
-    In stream order: the block for -m from w, the ``_collapsed`` block for
-    each barred target -(m+1)..-n, then one for each unbarred target 1..l.
-    The first n - m + l' + 1 blocks are those of any cut m <= l' <= l.
-    """
-    n = qbg.n
-    _check_m(n, m)
-    if not m <= l <= n:
-        raise ValueError(f"l must be in {m}..{n}, got {l}")
-    return [list(b) for b in
-            _inverse_blocks(qbg, x, -m, _second_dsts(n, m, l), _collapsed)]
+    """The blocks of the collapsed second expansion with unbarred cut ``l``,
+    one list per letter -m, -(m+1)..-n, 1..l; the first n - m + l' + 1 are
+    those of any cut m <= l' <= l.  m and l are checked at the call."""
+    return [list(b) for b in _inverse_blocks(qbg, x, m, l, _collapsed)]
 
 
 def ic_conj_second_terms(qbg: QBG, x: AffinePair, m: int,
@@ -463,19 +457,15 @@ def fold_terms(n: int, terms: Iterable[Entry]) -> DemazureCombo:
 def ic_first_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """The summands of ``ic_first_terms`` with the sequence sums of every
     target letter from one ``chained_sums`` table: one block per entry,
-    scaled by its count."""
-    _check_m(qbg.n, m)
-    return _inverse_terms(qbg, x, m, range(1, m), _summed(chained_sums(qbg, x[0], m)))
+    scaled by its count.  m is checked and the table built at the call."""
+    return chain.from_iterable(_inverse_blocks(qbg, x, m, None, _summed))
 
 
 def ic_second_summed(qbg: QBG, x: AffinePair, m: int) -> Iterator[Entry]:
     """The summands of ``ic_second_terms`` with the sequence sums of every
     target letter from one ``chained_sums`` table: one block per entry,
-    scaled by its count."""
-    n = qbg.n
-    _check_m(n, m)
-    return _inverse_terms(qbg, x, -m, _second_dsts(n, m, n),
-                          _summed(chained_sums(qbg, x[0], -m)))
+    scaled by its count.  m is checked and the table built at the call."""
+    return chain.from_iterable(_inverse_blocks(qbg, x, m, qbg.n, _summed))
 
 
 def ic_rhs_first(qbg: QBG, x: AffinePair, m: int) -> DemazureCombo:

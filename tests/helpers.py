@@ -370,6 +370,54 @@ def oracle_chained_sum(qbg, w, src, dst):
     return {k: c for k, c in acc.items() if c}
 
 
+# --- the block-yielding callbacks _inverse_blocks replaced ------------------
+#
+# Each callback yielded the blocks of one target letter itself; the builders
+# passed one of them, with the letters of their form, to ``_inverse_terms``.
+# ``_block`` is reached through the module, as ``term_stream`` swaps it.
+
+
+def oracle_streamed(qbg, w, xi, src, dst):
+    """Blocks for dst after every sequence and chained product, one by one."""
+    for seq in expansions.enumerate_S(src, dst, qbg.n):
+        for v, d, s in expansions.chained_filtered(qbg, w, src, seq):
+            yield from expansions._block(qbg, v, dst, vec_add(d, xi), s)
+
+
+def oracle_summed(sums):
+    """The same blocks read from one ``chained_sums`` table: for dst, one
+    block per entry of sums[dst], scaled by its count."""
+    def blocks(qbg, w, xi, src, dst):
+        for (v, d), c in sums[dst].items():
+            yield from expansions._block(qbg, v, dst, vec_add(d, xi), c)
+    return blocks
+
+
+def oracle_collapsed(qbg, w, xi, src, dst):
+    """The block for dst after the single directed path ``p_path``."""
+    p = qbg.p_path(w, src, dst)
+    yield from expansions._block(qbg, p.end, dst, vec_add(p.weight, xi))
+
+
+def oracle_inverse_blocks(qbg, x, src, dsts, chained):
+    """The block for src from w, then the chained blocks for each dst."""
+    w, xi = x
+    yield expansions._block(qbg, w, src, xi)
+    for dst in dsts:
+        yield chained(qbg, w, xi, src, dst)
+
+
+def oracle_inverse_terms(qbg, x, src, dsts, chained):
+    """The summands of ``oracle_inverse_blocks``, block after block."""
+    for block in oracle_inverse_blocks(qbg, x, src, dsts, chained):
+        yield from block
+
+
+def oracle_second_dsts(n, m, l):
+    """Chained targets of the second form: -(m+1)..-n, then 1..l."""
+    return [-j for j in range(m + 1, n + 1)] + list(range(1, l + 1))
+
+
 # --- oracles with no caller in the library ----------------------------------
 
 def simple_coroot(i, n):

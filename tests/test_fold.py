@@ -36,17 +36,15 @@ from qalcove.alcove import make_chain
 from qalcove.expansions import (
     ChevalleyExpansion,
     _block,
-    _inverse_terms,
     _mu_index,
-    _second_dsts,
-    _summed,
-    chained_sums,
     chevalley_expand,
     fold_terms,
+    ic_first_summed,
     ic_lhs,
     ic_lhs_term,
     ic_rhs_first,
     ic_rhs_second,
+    ic_second_summed,
 )
 from qalcove.ring import (
     EXP_MAX,
@@ -137,11 +135,9 @@ def check_element(qbg, w, xi, cache):
     for m in range(1, n + 1):
         for built, stream in (
                 (ic_rhs_first(qbg, x, m),
-                 term_stream(_inverse_terms, qbg, x, m, range(1, m),
-                             _summed(chained_sums(qbg, w, m)))),
+                 term_stream(ic_first_summed, qbg, x, m)),
                 (ic_rhs_second(qbg, x, m),
-                 term_stream(_inverse_terms, qbg, x, -m, _second_dsts(n, m, n),
-                             _summed(chained_sums(qbg, w, -m))))):
+                 term_stream(ic_second_summed, qbg, x, m))):
             oracle = fold_oracle(n, coeff_terms(stream))
             assert_same(built, oracle)
             assert_same(expand_buckets(qbg, built), expand_oracle(qbg, oracle, cache))

@@ -130,13 +130,13 @@ def test_sign_fault_reports_the_oracle_residual(monkeypatch):
 
 
 def test_collapsed_sign_fault_fails_cf_with_the_oracle_residual(monkeypatch):
-    """One flipped summand sign in ``_collapsed`` touches only the collapsed
-    side of cf, so cf fails; each report must be the oracle's."""
+    """The count ``_collapsed`` gives the letter 1 negated touches only the
+    collapsed side of cf, so cf fails; each report must be the oracle's."""
     collapsed = expansions._collapsed
 
-    def faulty(qbg, w, xi, src, dst):
-        for i, (sym, key, c) in enumerate(collapsed(qbg, w, xi, src, dst)):
-            yield sym, key, -c if (dst == 1 and i == 0) else c
+    def faulty(qbg, w, src):
+        counts = collapsed(qbg, w, src)
+        return lambda dst: [(k, -c if dst == 1 else c) for k, c in counts(dst)]
 
     monkeypatch.setattr(expansions, "_collapsed", faulty)
     qbg = QBG(3)

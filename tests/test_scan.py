@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import expand_combo
+from helpers import expand_combo, oracle_collapsed
 from qalcove.expansions import (
     _block,
-    _collapsed,
     fold_terms,
     ic_conj_second_terms,
     ic_lhs,
@@ -60,7 +59,7 @@ def _conj_stream(qbg, x, m, l):
     w, xi = x
     yield from _block(qbg, w, -m, xi)
     for dst in [-j for j in range(m + 1, qbg.n + 1)] + list(range(1, l + 1)):
-        yield from _collapsed(qbg, w, xi, -m, dst)
+        yield from oracle_collapsed(qbg, w, xi, -m, dst)
 
 
 def _assert_same_scan(got, want):
