@@ -22,9 +22,9 @@ when the unsigned labels |gamma_{i_j}| trace a directed path in the quantum
 Bruhat graph starting at w.  A subset carries ed(A), its endpoint, and
 down(A), the sum of |gamma|^vee over its quantum steps; both compose along
 a concatenated chain.  The mu-chain statistics wt(A), height(A) and n(A)
-are not tracked: ``expansions.chevalley_expand`` splits A over the
-(+-eps_k)-chain P * Q as A_1 over P and A_2 over Q, and reads
-wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|.
+are not tracked: ``expansions._head`` splits A over the (+-eps_k)-chain
+P * Q as A_1 over P and A_2 over Q, and reads wt(A) = ed(A_1) mu,
+height(A) = <mu, down(A_1)> and n(A) = |A_2|.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[Admissible
     """``walk_subsets``, memoized on (w, chain) inside the QBG instance.
 
     Callers that read a walk again use this; a walk read once (the
-    Gamma*_k(k) and Theta*_k heads of a Chevalley record) calls
+    Gamma*_k(k) and Theta*_k walks of a Chevalley head) calls
     ``walk_subsets`` and is not stored.
     """
     cache = qbg._adm_cache

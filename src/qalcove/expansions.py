@@ -1,13 +1,9 @@
 r"""Chevalley-type expansions of Demazure characters and their inverses.
 
-``chevalley_expand`` writes gch V_w(lam +- eps_k) in terms of the gch V_y(lam)
-as a ``ChevalleyExpansion``: one shared atom tuple and flat (end, packed
-monomial, count) entries, with no rational coefficient.  Its ``combo`` is
-the rational combination, built only to show or compare it.  The ``ic_*``
-builders produce right-hand sides for the inverse problem, expanding
-e^{+-w(eps_m)} gch V_{w t_xi}(lam) back into characters at the shifted
-weights lam +- eps_j.  ``_inverse_blocks`` builds every form from its
-target letters and one count source, which gives each letter after the
+The ``ic_*`` builders produce right-hand sides for the inverse problem,
+expanding e^{+-w(eps_m)} gch V_{w t_xi}(lam) back into characters at the
+shifted weights lam +- eps_j.  ``_inverse_blocks`` builds every form from
+its target letters and one count source, which gives each letter after the
 first its ((end, down), count) pairs, one block each:
 
 * ``_streamed``  -- every decreasing letter sequence and chained filtered
@@ -18,21 +14,22 @@ first its ((end, down), count) pairs, one block each:
   form and the second form cut at ``l``, whose blocks ``conj_second_blocks``
   returns one list each, so a scan over l can add one block per step.
 
-``ic_lhs`` and the ``ic_rhs_*`` builders return a ``DemazureCombo`` keyed
-by (window, weight shift), for display; the ``*_terms`` and ``*_summed``
-streams yield the summands before any cancellation, and ``ic_lhs_term``
-is the one summand of ``ic_lhs``.  A summand is the
-entry ((symbol (y, mu), no atoms), key, c) that ``ring.fold_into`` reads:
-c times the packed monomial ``key`` times gch V_y(lam + mu).  The key
-already holds the translation of the paper's gch V_{y t_xi}(lam + mu),
-q^{-<mu, xi>} prod x_i^{-c_i} with xi = sum c_i alpha_i^vee.  Every
-summand of a right-hand side comes from ``_block``: one per admissible
-subset of the gamma or theta chain of a target letter, all sharing the
-block's head monomial.  ``fold_into`` sums them per symbol in integer
-buckets, and ``expand_to_base`` adds them to such buckets at the base
-weight, still in integers, which is how ``verify`` decides an identity;
-``DemazureCombo.folded`` reduces buckets only for a combination that is
-shown.
+A summand is the entry ((symbol (y, mu), no atoms), key, c) that
+``ring.fold_into`` reads: c times the packed monomial ``key`` times
+gch V_y(lam + mu), the key holding the translation of the paper's
+gch V_{y t_xi}(lam + mu).  Every summand of a right-hand side comes from
+``_block``, one per admissible subset of the gamma or theta chain of a
+target letter.  ``ic_lhs`` and the ``ic_rhs_*`` builders fold summands
+into a ``DemazureCombo``, for display only.
+
+``expand_to_base`` adds summands to integer buckets at the base weight,
+which is how ``verify`` decides an identity.  It rewrites V_y(lam + eps_t)
+by the Chevalley formula split over the eps_t-chain P * Q: the summands
+are summed per (y, key), each sum is multiplied by the cached head of
+(y, t) (the A_1 over P) into a middle tally per (ed(A_1), key), and only a
+nonzero middle entry reads its tail (the A_2 over Q, the cached walk of
+the block for -t).  ``chevalley_expand`` is that rewrite of one symbol, as
+a flat ``ChevalleyExpansion`` for ``expand --k``.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from .ring import (
     Buckets,
     DemazureCombo,
     Entry,
+    _check_atoms,
     check_packed,
     pack,
     packed_words,
@@ -104,9 +102,8 @@ class ChevalleyExpansion(NamedTuple):
 
     Entry i stands for counts[i] q^k x^a e^nu / prod(atoms) gch V_{ends[i]}(lam),
     where keys[i] is the packed monomial q^k x^a e^nu.  Each (end, key)
-    occurs once and no count is zero.  The record holds only tuples and
-    ints, so it is what ``chevalley_expand`` caches; ``combo`` is the one
-    place it becomes a rational combination.
+    occurs once and no count is zero.  ``combo`` is the one place it
+    becomes a rational combination.
     """
 
     n: int
@@ -128,7 +125,7 @@ class ChevalleyExpansion(NamedTuple):
 
 def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansion:
     """gch V_w(lam + eps_k) (sign '+') or gch V_w(lam - eps_k) (sign '-')
-    in terms of the gch V_y(lam), as a cached ``ChevalleyExpansion``.
+    in terms of the gch V_y(lam): ``expand_to_base`` of that one symbol.
 
     Over the reduced chain for mu = +-eps_k,
 
@@ -139,24 +136,22 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansi
     where f = 1/(1 - q^{-1} x_k^{-1}) in the plus direction,
     f = 1/(1 - q^{-1} x_{k-1}^{-1}) in the minus direction for k >= 2,
     and f = 1 for the minus direction at k = 1.
-
-    The chain is P * Q with P = Gamma*_k(k), Q = Theta_k for eps_k and
-    P = Theta*_k, Q = Gamma_k(k) for -eps_k.  Splitting A = A_1 u A_2 gives
-    wt(A) = ed(A_1) mu, height(A) = <mu, down(A_1)> and n(A) = |A_2|, so
-    the sum runs over A_1 in A(w, P), each with the subsets B = A_2 that
-    ``_block`` from ed(A_1) sums for the letter -t, where mu = eps_t, read
-    at lam.
     """
     n = qbg.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    cache = qbg._chev_cache
-    key = (w, sign, k)
-    if key not in cache:
-        cache[key] = _chevalley_sum(qbg, w, k if sign == "+" else -k)
-    return cache[key]
+    t, zero = k if sign == "+" else -k, zero_vec(n)
+    acc = expand_to_base(qbg, {}, [(((w, eps_vec(t, n)), ()), pack(n, (0, zero, zero)), 1)])
+    kept = [(y, key, c) for ((y, _), _), b in acc.items() for key, c in b.items() if c]
+    ends, keys, counts = zip(*kept) if kept else ((), (), ())
+    return ChevalleyExpansion(n, _atoms(t), ends, keys, counts)
+
+
+def _atoms(t: int) -> tuple[int, ...]:
+    """The atom of gch V_y(lam + eps_t): k for t = k, k - 1 for t = -k, k >= 2."""
+    return (t,) if t > 0 else (-t - 1,) if t < -1 else ()
 
 
 @lru_cache(maxsize=None)
@@ -165,45 +160,28 @@ def _eps_key(n: int, a: int) -> int:
     return pack(n, (0, zero_vec(n), eps_vec(a, n)))
 
 
-def _chevalley_sum(qbg: QBG, w: Window, t: int) -> ChevalleyExpansion:
-    """The sum of ``chevalley_expand`` for mu = eps_t, counted per (end, key).
+def _head(qbg: QBG, y: Window, t: int) -> tuple[tuple[Window, ...], tuple[int, ...]]:
+    """The head of gch V_y(lam + eps_t): the ends and keys of the A_1 in
+    A(y, Gamma*_t(t)), or A(y, Theta*_k) for t = -k.
 
-    The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
-    q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
-    monomial x^{-down(B)} of B, added as one sum of packed keys; ed(A_1) mu
-    is eps of the letter ed(A_1)(t).  ValueError if a key left the packed
-    range.
-
-    The head walk from w is read only here, once per record, so it is
-    walked uncached; the tail walks from each ed(A_1) are the blocks'
-    cached ones.  Few distinct keys occur in all records, so each kept key
-    is the one int ``QBG._keys`` holds for its value.
+    The eps_t-chain P * Q splits each subset as A_1 u A_2, A_1 over P, so
+    wt(A) = ed(A_1) eps_t, height(A) = <eps_t, down(A_1)>, n(A) = |A_2|.
+    A key is the packed q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{eps_a},
+    a = ed(A_1)(t).  The walk is read once per (y, t) and not stored; each
+    end and key is the one object ``QBG._keys`` holds for its value.
+    ValueError if a key left the packed range.
     """
-    n = qbg.n
-    mu, zero = eps_vec(t, n), zero_vec(n)
-    bias = packed_words(n)[0]
-    head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
-    tail = _block_chain(-t, n)
-    atom = t if t > 0 else -t - 1
-    acc: dict[tuple[Window, int], int] = {}
-    x_keys: dict[Vec, int] = {}  # down(B) -> packed x^{-down(B)}
-    seen = 0
-    for A1 in walk_subsets(qbg, w, head):
-        off = (translation_key(mu, A1.down)
-               + _eps_key(n, image(A1.end, t)) - 2 * bias)
-        for B in admissible_subsets(qbg, A1.end, tail):
-            x = x_keys.get(B.down)
-            if x is None:
-                x = x_keys[B.down] = translation_key(zero, B.down)
-            p = off + x  # see packed_words
-            seen |= p
-            entry = (B.end, p)
-            acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
+    n, one = qbg.n, qbg._keys.setdefault
+    mu, bias = eps_vec(t, n), packed_words(n)[0]
+    ends, keys, seen = [], [], 0
+    for A1 in walk_subsets(qbg, y, make_chain("gamma_star" if t > 0 else "theta_star",
+                                              abs(t), n)):
+        key = translation_key(mu, A1.down) + _eps_key(n, image(A1.end, t)) - bias
+        seen |= key
+        ends.append(one(A1.end, A1.end))
+        keys.append(one(key, key))
     check_packed(n, seen)
-    one = qbg._keys.setdefault
-    kept = [(end, one(p, p), c) for (end, p), c in acc.items() if c]
-    ends, keys, counts = zip(*kept) if kept else ((), (), ())
-    return ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
+    return tuple(ends), tuple(keys)
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -215,42 +193,60 @@ def _mu_index(mu: Vec) -> tuple[int, str]:
 
 
 def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
-    """Add sign times the entries (((y, mu), sorted atoms), packed
-    monomial, count) to the integer buckets ``acc`` (see
-    ``ring.fold_into``), read at the base weight; returns acc.
+    """Add sign times the entries (((y, mu), sorted atoms), key, count) to
+    the integer buckets ``acc`` (see ``ring.fold_into``), read at the base
+    weight; returns acc.
 
-    An entry already at the base weight (shift 0) is added as it is.  A
-    V_y(lam +- eps_k) is rewritten through ``chevalley_expand`` in the same
-    loop: each entry of the expansion costs one packed addition and one
-    integer product, added to the bucket of the entry's end over both atom
-    tuples.  ValueError if an entry's key or a product left the packed
-    range.
+    An entry at shift 0 is added as it is.  The entries at one shift eps_t
+    and atom tuple are summed per (y, key); each nonzero sum adds the
+    cached ``_head`` of (y, t) into a middle tally keyed (ed(A_1), key +
+    head key), and each nonzero middle entry adds its tail, the B of
+    ``_block`` for -t from ed(A_1) read at lam, to the bucket of ed(B).
+    ValueError if a key left the packed range or an atom repeats.
     """
-    n = qbg.n
-    bias = packed_words(n)[0]
-    zero = zero_vec(n)
+    n, heads = qbg.n, qbg._heads
+    bias, zero = packed_words(n)[0], zero_vec(n)
     seen = 0
-    for (sym, atoms), k1, c1 in entries:
-        y, mu = sym
-        c1 *= sign
-        seen |= k1
-        if not any(mu):
+    shifted: dict[tuple, dict] = {}  # (mu, atoms) -> {(y, key): count}
+    for (sym, atoms), key, c in entries:
+        seen |= key
+        if any(sym[1]):
+            out = shifted.get((sym[1], atoms))
+            if out is None:
+                out = shifted[(sym[1], atoms)] = {}
+            key = (sym[0], key)
+        else:
             out = acc.get((sym, atoms))
             if out is None:
                 out = acc[(sym, atoms)] = {}
-            out[k1] = out.get(k1, 0) + c1
-            continue
+            c *= sign
+        out[key] = out.get(key, 0) + c
+    for (mu, atoms), group in shifted.items():
         k, s = _mu_index(mu)
-        chev = chevalley_expand(qbg, y, s, k)
-        both = tuple(sorted(chev.atoms + atoms))
-        k1 -= bias  # see packed_words
-        for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
-            key = k1 + k2
-            seen |= key
-            out = acc.get(((end, zero), both))
-            if out is None:
-                out = acc[((end, zero), both)] = {}
-            out[key] = out.get(key, 0) + c1 * c2
+        t = k if s == "+" else -k
+        both, tail = tuple(sorted(_atoms(t) + atoms)), _block_chain(-t, n)
+        _check_atoms(both)
+        middle: dict[tuple[Window, int], int] = {}
+        for (y, k1), c in group.items():
+            if c:
+                head = heads.get((y, t))
+                if head is None:
+                    head = heads[(y, t)] = _head(qbg, y, t)
+                k1 -= bias  # see packed_words
+                for u, k2 in zip(*head):
+                    key = u, k1 + k2
+                    middle[key] = middle.get(key, 0) + c
+        for (u, k2), c in middle.items():
+            seen |= k2
+            if c:
+                k2, c = k2 - bias, sign * c
+                for B in admissible_subsets(qbg, u, tail):
+                    key = k2 + translation_key(zero, B.down)
+                    seen |= key
+                    out = acc.get(((B.end, zero), both))
+                    if out is None:
+                        out = acc[((B.end, zero), both)] = {}
+                    out[key] = out.get(key, 0) + (-c if len(B.positions) % 2 else c)
     check_packed(n, seen)
     return acc
 
@@ -303,20 +299,25 @@ def chained_sums(qbg: QBG, w: Window, src: int) -> dict[int, ChainedSum]:
     src.  When it reaches a letter b, the tally at b is complete, and each
     of its (v, d) pushes (-1)^{|A|-1} times its count, for every A in
     filtered_A(v, b, a), into the tally of each lower letter a, keyed
-    (ed(A), d + down(A)).  Nothing is stored on the QBG.
+    (ed(A), d + down(A)).  A subset A of the walk of ``filtered_A``'s chain
+    from v is in filtered_A(v, b, a) for the one a with ed(A)(a) = v(b) if
+    a is below b, so each walk is scanned once.  Nothing is stored.
     """
     n = qbg.n
     check_letters(n, src, src)
     letters = [letter_from_pos(p, n) for p in range(letter_pos(src, n), 0, -1)]
     sums: dict[int, ChainedSum] = {a: {} for a in letters}
     sums[src] = {(w, zero_vec(n)): 1}
-    for i, b in enumerate(letters):
+    for b in letters:
         tally = sums[b] = {k: c for k, c in sums[b].items() if c}
+        below, chain = letter_pos(b, n), _block_chain(-b, n)
         for (v, d), c in tally.items():
-            for a in letters[i + 1:]:
-                out = sums[a]
-                for A in filtered_A(qbg, v, b, a):
-                    k = (A.end, vec_add(d, A.down))
+            target = image(v, b)
+            for A in admissible_subsets(qbg, v, chain):
+                end = A.end
+                a = end.index(target) + 1 if target in end else -end.index(-target) - 1
+                if letter_pos(a, n) < below:  # the empty subset gives a = b
+                    out, k = sums[a], (end, vec_add(d, A.down))
                     out[k] = out.get(k, 0) + _sign(len(A.positions) - 1) * c
     del sums[src]
     return sums

@@ -69,20 +69,19 @@ class DirectedPath:
 
 
 class QBG:
-    """Quantum Bruhat graph at a fixed rank, with memoized edge tests."""
+    """Quantum Bruhat graph at a fixed rank, with the memo tables of the
+    alcove and expansions layers: subset walks and Chevalley heads."""
 
     def __init__(self, n: int):
         self.n = n
         self.group = weyl_group(n)
         self.pos_roots = positive_roots(n)
         self.length = {w: length(w) for w in self.group}
-        # memo tables of the alcove and expansions layers, keyed by element;
         # chained sums are recomputed per instance, not stored
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
-        self._chev_cache: dict = {}      # (w, sign, k) -> ChevalleyExpansion,
-                                         # flat tuples of ints, no Coeff
-        self._keys: dict = {}            # packed key -> the one int of that
-                                         # value the Chevalley records hold
+        self._heads: dict = {}           # (y, t) -> Chevalley head (ends, keys)
+        self._keys: dict = {}            # end window or packed key -> the one
+                                         # object of that value the heads hold
 
     # -- edges ---------------------------------------------------------
 

@@ -31,8 +31,8 @@ is one packed monomial, ``translation_key``, which ``expansions`` puts
 into the key of each summand it builds.
 
 Sums are kept as integer buckets {(symbol, sorted atoms): {packed monomial:
-count}}: ``fold_into`` adds summands into them, and
-``expansions.expand_to_base`` adds the products of a Chevalley expansion.
+count}}: ``fold_into`` adds summands into them, and ``expand_to_base``
+adds the Chevalley tails of a middle tally of summands times heads.
 ``over_common`` puts the buckets of a symbol over their common denominator
 by ``times_atom``, one packed subtraction per monomial, and is the one
 place a bucket is multiplied by an atom.  An identity is decided on such

@@ -2,7 +2,7 @@ r"""Identity verification engine and proof-machinery property checks.
 
 Every identity is checked exactly, in integers: both sides are folded into
 one set of integer buckets holding lhs - rhs, with the shifted-weight
-symbols rewritten through ``chevalley_expand`` down to the base weight
+symbols rewritten through Chevalley heads and tails to the base weight
 (``expand_to_base``), and the identity holds iff every symbol's buckets
 cancel over their common denominator (``ring.cancels``).  Each identity is
 stated once, as the summand streams of its two sides; only a failure folds

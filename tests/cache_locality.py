@@ -8,8 +8,9 @@ kind, the keys ``stored``, the ``rereads`` (lookups beyond the one that
 stored the key) and the ``mb`` of the values.  ``mb`` is the
 ``sys.getsizeof`` sum over every distinct object the values reach, each
 counted once, in the first cache listed that reaches it, with the group's
-windows left out.  ``uncached_walks`` and ``uncached_subsets`` count the
-walks ``_chevalley_sum`` makes without storing them.
+windows left out.  ``_heads`` also reports its ``entries``, one per A_1
+of a cached head, and ``uncached_walks`` and ``uncached_subsets`` count
+the head walks ``expansions._head`` makes without storing them.
 
     PYTHONPATH=src python3 tests/cache_locality.py --rank 5 --sample 3000 --seed 7
 
@@ -62,7 +63,7 @@ class CountedDict(dict):
 # each cache of the QBG, with how its keys are grouped, in report order
 CACHES = {
     "_adm_cache": lambda key: key[1].kind,
-    "_chev_cache": lambda key: "_chev_cache",
+    "_heads": lambda key: "_heads",
     "_keys": lambda key: "_keys",
 }
 
@@ -122,7 +123,7 @@ def locality(argv) -> dict:
                         "rereads": sum(cache.reads.values()) - len(cache),
                         "mb": round(sum(w["mb"] for w in walks.values()), 2)
                         if name == "_adm_cache" else mb(list(cache.values()))}
-    caches["_chev_cache"]["entries"] = sum(len(r.keys) for r in qbg._chev_cache.values())
+    caches["_heads"]["entries"] = sum(len(ends) for ends, _ in qbg._heads.values())
     return {"exit_code": code, "cpu_s": round(cpu, 2), "caches": caches, "walks": walks}
 
 

@@ -8,7 +8,13 @@ from itertools import combinations
 from pathlib import Path
 
 from qalcove import expansions, verify
-from qalcove.alcove import admissible_subsets, alcove_walk, filtered_A, make_chain
+from qalcove.alcove import (
+    admissible_subsets,
+    alcove_walk,
+    filtered_A,
+    make_chain,
+    walk_subsets,
+)
 from qalcove.qbg import DirectedPath
 from qalcove.ring import (
     Coeff,
@@ -782,3 +788,101 @@ def term_stream(build, *args):
         return list(build(*args))
     finally:
         expansions._block = block
+
+
+# --- the Chevalley records that heads and tails replaced ---------------------
+
+
+def oracle_chevalley_sum(qbg, w, t):
+    """The sum of ``chevalley_expand`` for mu = eps_t, counted per (end, key).
+
+    The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
+    q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
+    monomial x^{-down(B)} of B, added as one sum of packed keys; ed(A_1) mu
+    is eps of the letter ed(A_1)(t).  ValueError if a key left the packed
+    range.
+
+    The head walk from w is read only here, once per record, so it is
+    walked uncached; the tail walks from each ed(A_1) are the blocks'
+    cached ones.  Few distinct keys occur in all records, so each kept key
+    is the one int ``QBG._keys`` holds for its value.
+    """
+    n = qbg.n
+    mu, zero = eps_vec(t, n), zero_vec(n)
+    bias = packed_words(n)[0]
+    head = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
+    tail = expansions._block_chain(-t, n)
+    atom = t if t > 0 else -t - 1
+    acc = {}
+    x_keys = {}  # down(B) -> packed x^{-down(B)}
+    seen = 0
+    for A1 in walk_subsets(qbg, w, head):
+        off = (translation_key(mu, A1.down)
+               + expansions._eps_key(n, image(A1.end, t)) - 2 * bias)
+        for B in admissible_subsets(qbg, A1.end, tail):
+            x = x_keys.get(B.down)
+            if x is None:
+                x = x_keys[B.down] = translation_key(zero, B.down)
+            p = off + x  # see packed_words
+            seen |= p
+            entry = (B.end, p)
+            acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
+    check_packed(n, seen)
+    one = qbg._keys.setdefault
+    kept = [(end, one(p, p), c) for (end, p), c in acc.items() if c]
+    ends, keys, counts = zip(*kept) if kept else ((), (), ())
+    return expansions.ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
+
+
+def oracle_record(qbg, w, sign, k, records):
+    """The record of gch V_w(lam +- eps_k) that ``chevalley_expand`` cached
+    before heads and tails, memoized in ``records``."""
+    key = (w, sign, k)
+    if key not in records:
+        records[key] = oracle_chevalley_sum(qbg, w, k if sign == "+" else -k)
+    return records[key]
+
+
+def oracle_expand_to_base(qbg, acc, entries, sign=1, records=None):
+    """``expand_to_base`` as it was before heads and tails: every shifted
+    entry is multiplied by each entry of its whole Chevalley record
+    (``oracle_record``, memoized in ``records``) in one loop."""
+    records = {} if records is None else records
+    n = qbg.n
+    bias = packed_words(n)[0]
+    zero = zero_vec(n)
+    seen = 0
+    for (sym, atoms), k1, c1 in entries:
+        y, mu = sym
+        c1 *= sign
+        seen |= k1
+        if not any(mu):
+            out = acc.get((sym, atoms))
+            if out is None:
+                out = acc[(sym, atoms)] = {}
+            out[k1] = out.get(k1, 0) + c1
+            continue
+        k, s = expansions._mu_index(mu)
+        chev = oracle_record(qbg, y, s, k, records)
+        both = tuple(sorted(chev.atoms + atoms))
+        k1 -= bias  # see packed_words
+        for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
+            key = k1 + k2
+            seen |= key
+            out = acc.get(((end, zero), both))
+            if out is None:
+                out = acc[((end, zero), both)] = {}
+            out[key] = out.get(key, 0) + c1 * c2
+    check_packed(n, seen)
+    return acc
+
+
+def nonzero_buckets(acc):
+    """The buckets of ``acc`` without zero counts, and without a bucket
+    left empty."""
+    out = {}
+    for sym, bucket in acc.items():
+        kept = {key: c for key, c in bucket.items() if c}
+        if kept:
+            out[sym] = kept
+    return out

@@ -1,12 +1,15 @@
-"""The Chevalley cache holds flat records of tuples and ints.
+"""The Chevalley head cache holds flat tuples of ints and shared windows.
 
-``chevalley_expand`` caches one ``ChevalleyExpansion`` per (w, sign, k) in
-``QBG._chev_cache``, and ``expand_to_base`` multiplies its entries straight
-into integer buckets.  A ``Coeff``, ``RationalCoeff`` or dict in a cached value
-would cost hundreds of bytes per symbol again, so after a sweep every value
-must reach only tuples and ints.  ``cache_bytes`` counts what the cache
-costs; run as a script, this module prints that count after a serial,
-seeded ``qalcove verify`` sample:
+``expand_to_base`` caches one head per (y, t) in ``QBG._heads``: parallel
+tuples of the ends ed(A_1) and the packed keys of the A_1 over the
+Gamma*_t(t) or Theta*_t head of the eps_t-chain, each end and key the one
+object ``QBG._keys`` holds for its value.  A ``Coeff``, ``RationalCoeff``
+or dict in a cached value would cost hundreds of bytes per symbol again,
+so after a sweep every value must reach only tuples and ints, and the
+heads must cost less than the whole records the cache held before
+(``helpers.oracle_record``).  ``cache_bytes`` counts what the cache costs;
+run as a script, this module prints that count after a serial, seeded
+``qalcove verify`` sample:
 
     PYTHONPATH=src python3 tests/test_compact_chevalley.py --rank 5 --sample 1500 --seed 5
 """
@@ -17,10 +20,9 @@ import os
 import random
 import sys
 
-from helpers import expand_buckets
+from helpers import expand_buckets, oracle_record
 from qalcove import cli
 from qalcove.expansions import (
-    ChevalleyExpansion,
     _mu_index,
     chevalley_expand,
     ic_rhs_cancel_free_first,
@@ -60,14 +62,26 @@ def reached(roots, skip=()):
 
 
 def cache_bytes(qbg) -> tuple[int, int]:
-    """(bytes, entries) of the values in ``qbg._chev_cache``.
+    """(bytes, entries) of the values in ``qbg._heads``.
 
     The bytes are the ``sys.getsizeof`` sum over every distinct object the
-    cached records reach.  End windows are left out: each is the ``end`` of
-    an admissible subset in ``qbg._adm_cache``, which owns it.
+    cached heads reach, each shared end and key once.
     """
+    values = list(qbg._heads.values())
+    size = sum(sys.getsizeof(obj) for obj in reached(values))
+    return size, sum(len(ends) for ends, _ in values)
+
+
+def record_bytes(n, heads) -> tuple[int, int]:
+    """(bytes, entries) of the whole records of the (y, t) of ``heads``,
+    built by the record path on a fresh QBG(n), each end the walk cache
+    owns left out."""
+    qbg = QBG(n)
+    records = {}
+    for y, t in heads:
+        oracle_record(qbg, y, "+" if t > 0 else "-", abs(t), records)
     shared = {id(s.end) for subsets in qbg._adm_cache.values() for s in subsets}
-    values = list(qbg._chev_cache.values())
+    values = list(records.values())
     size = sum(sys.getsizeof(obj) for obj in reached(values, shared))
     return size, sum(len(v.keys) for v in values)
 
@@ -78,16 +92,17 @@ def test_cache_holds_only_tuples_and_ints():
         for m in range(1, 4):
             for variant in ("first", "second", "key"):
                 assert cli.VERIFIERS[variant](qbg, w, m, (0, 0, 0)).ok
-    values = list(qbg._chev_cache.values())
-    assert len(values) == 48 * 3 * 2  # every (w, sign, k) was expanded
-    assert all(type(v) is ChevalleyExpansion for v in values)
-    assert {type(obj) for obj in reached(values)} == {ChevalleyExpansion, tuple, int}
-    assert all(all(v.counts) for v in values)
+    values = list(qbg._heads.values())
+    assert len(values) == 48 * 3 * 2  # every (y, t) was expanded
+    assert {type(obj) for obj in reached(values)} == {tuple, int}
+    assert all(len(ends) == len(keys) > 0 for ends, keys in values)
+    assert all(obj is qbg._keys[obj] for ends, keys in values for obj in ends + keys)
     size, entries = cache_bytes(qbg)
-    assert entries == sum(len(v.ends) for v in values) > 0
-    # each distinct key is one int shared by every record (55 B per entry
-    # here; 106 B when every entry held its own int)
+    # 59 020 B for 944 entries here, 62 B per entry: each distinct end and
+    # key is one object shared by every head
     assert size < 70 * entries
+    # the whole records of the same (y, t) took 127 656 B for 2 320 entries
+    assert size < record_bytes(3, qbg._heads)[0]
 
 
 def combo_expand_to_base(qbg, combo):
@@ -141,7 +156,7 @@ def main(argv=None):
     code = cli.main(["verify", "--rank", str(args.rank), "--sample", str(args.sample),
                      "--seed", str(args.seed), "--format", "json", "--out", os.devnull])
     size, entries = cache_bytes(cli._WORKER_QBG)
-    print(json.dumps({"exit_code": code, "records": len(cli._WORKER_QBG._chev_cache),
+    print(json.dumps({"exit_code": code, "heads": len(cli._WORKER_QBG._heads),
                       "entries": entries, "bytes": size,
                       "bytes_per_entry": round(size / entries, 1)}))
 

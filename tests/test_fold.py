@@ -1,7 +1,7 @@
 """The one fold that builds every DemazureCombo, against one-at-a-time sums.
 
 ``DemazureCombo.folded`` builds every combination: the inverse-form
-right-hand sides, the key sides, the Chevalley expansions (a cached
+right-hand sides, the key sides, the Chevalley expansions (a
 ``ChevalleyExpansion`` through its ``combo``), the integer buckets of
 ``expand_to_base`` shown through ``from_buckets``, differences and
 denominator clearing.  ``from_buckets`` adds the buckets of a symbol over
@@ -34,7 +34,6 @@ from helpers import (
 from qalcove import cli, expansions
 from qalcove.alcove import make_chain
 from qalcove.expansions import (
-    ChevalleyExpansion,
     _block,
     _mu_index,
     chevalley_expand,
@@ -122,12 +121,6 @@ def assert_record(record, oracle):
     assert len(set(zip(record.ends, record.keys))) == len(record.keys)
 
 
-def record_of(n, end, factor, atoms=()):
-    """factor / prod(atoms) * V_end(lam) as a record, one entry per monomial."""
-    return ChevalleyExpansion(n, atoms, (end,) * len(factor.packed),
-                              tuple(factor.packed), tuple(factor.packed.values()))
-
-
 def check_element(qbg, w, xi, cache):
     """Every inverse-form RHS and key side of w, folded and expanded."""
     n = qbg.n
@@ -162,23 +155,27 @@ def test_chevalley_expand_matches_oracle(qbg2, qbg3):
 
 
 def test_sweep_caches_follow_the_cache_rules():
-    """After an exhaustive rank-3 sweep: every record key is the one int
-    ``QBG._keys`` holds for its value, the walk cache holds no star walk
-    (``_chevalley_sum`` walks those uncached), and the records equal the
-    oracle's."""
+    """After an exhaustive rank-3 sweep: every head key and end is the one
+    object ``QBG._keys`` holds for its value, the walk cache holds no star
+    walk (``_head`` walks those uncached), and the expansions read through
+    the cached heads equal the oracle's."""
     qbg = QBG(3)
     for w in qbg.group:
         for m in range(1, 4):
             for variant in ("first", "second", "key"):
                 assert cli.VERIFIERS[variant](qbg, w, m, (0, 0, 0)).ok
     assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
-    records = qbg._chev_cache
-    assert len(records) == 48 * 3 * 2
-    assert all(key is qbg._keys[key] for r in records.values() for key in r.keys)
-    assert set(qbg._keys) == {key for r in records.values() for key in r.keys}
+    heads = qbg._heads
+    assert len(heads) == 48 * 3 * 2
+    held = [obj for ends, keys in heads.values() for obj in ends + keys]
+    assert all(obj is qbg._keys[obj] for obj in held)
+    assert set(qbg._keys) == set(held)
     cache = {}
-    for (w, sign, k), record in records.items():
-        assert_record(record, chevalley_oracle(qbg, w, sign, k, cache))
+    for w, t in list(heads):
+        sign, k = "+" if t > 0 else "-", abs(t)
+        assert_record(chevalley_expand(qbg, w, sign, k),
+                      chevalley_oracle(qbg, w, sign, k, cache))
+    assert len(heads) == 48 * 3 * 2  # read from the cache, none added
 
 
 @pytest.mark.parametrize("xi", [None, "shifted"])
@@ -266,25 +263,33 @@ def test_summed_random_items_match_oracle():
     assert divisible > 0
 
 
+def random_combo(rng, qbg):
+    """A random combination of up to 6 symbols at every shift, some with an
+    atom other than their Chevalley atom, some numerators divisible by it."""
+    n = qbg.n
+    shifts = [zero_vec(n)] + [eps_vec(t, n) for t in range(-n, n + 1) if t]
+    combo = DemazureCombo(n)
+    for _ in range(rng.randint(1, 6)):
+        mu = rng.choice(shifts)
+        k, sign = _mu_index(mu) if any(mu) else (0, "+")
+        chev_atom = k if sign == "+" else k - 1
+        free = [a for a in range(1, n + 1) if a != chev_atom]
+        atoms = rng.sample(free, rng.randint(0, 1))
+        numer = _random_coeff(rng, n)
+        if atoms and rng.random() < 0.3:
+            numer = numer * atom_coeff(n, atoms[0])
+        add_term(combo, (rng.choice(qbg.group), mu), RationalCoeff(numer, atoms))
+    return combo
+
+
 def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
     """Products of random numerators, with atoms, and Chevalley numerators,
     through the integer buckets and through the combination-level oracle."""
     rng = random.Random(7)
     for qbg in (qbg2, qbg3):
-        n, cache = qbg.n, {}
-        shifts = [zero_vec(n)] + [eps_vec(t, n) for t in range(-n, n + 1) if t]
+        cache = {}
         for _ in range(60):
-            combo = DemazureCombo(n)
-            for _ in range(rng.randint(1, 6)):
-                mu = rng.choice(shifts)
-                k, sign = _mu_index(mu) if any(mu) else (0, "+")
-                chev_atom = k if sign == "+" else k - 1
-                free = [a for a in range(1, n + 1) if a != chev_atom]
-                atoms = rng.sample(free, rng.randint(0, 1))
-                numer = _random_coeff(rng, n)
-                if atoms and rng.random() < 0.3:
-                    numer = numer * atom_coeff(n, atoms[0])
-                add_term(combo, (rng.choice(qbg.group), mu), RationalCoeff(numer, atoms))
+            combo = random_combo(rng, qbg)
             want = expand_oracle(qbg, combo, cache)
             assert_same(expand_buckets(qbg, combo), want)
             assert_same(expand_combo(qbg, combo), want)
@@ -292,16 +297,20 @@ def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
 
 def _expand_with(monkeypatch, numer, factor, *passing):
     """The integer ``expand_to_base`` of numer V_{12}(lam + eps_1), plus each
-    of ``passing`` times V_{21}(lam), with every Chevalley expansion replaced
-    by factor V_{12}(lam); the combination-level oracle must agree."""
-    chev = record_of(2, (1, 2), factor)
-    monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
+    of ``passing`` times V_{21}(lam), with every Chevalley head replaced by
+    the one entry (V_{12}, factor); the tail from V_{12} for the letter -1
+    walks the empty Theta_1, so each expansion is factor V_{12}(lam) over
+    the atom 1.  The combination-level oracle, which reads the same head
+    through ``chevalley_expand``, must agree."""
+    head = (((1, 2),) * len(factor.packed), tuple(factor.packed))
+    assert set(factor.packed.values()) == {1}  # a head entry counts once
+    monkeypatch.setattr(expansions, "_head", lambda *args: head)
     combo = DemazureCombo(2)
     add_term(combo, ((1, 2), eps_vec(1, 2)), RationalCoeff(numer))
     for rc in passing:
         add_term(combo, ((2, 1), zero_vec(2)), rc)
     try:
-        want = expand_combo(None, combo)
+        want = expand_combo(QBG(2), combo)
     except ValueError:
         with pytest.raises(ValueError, match="packed range"):
             expand_buckets(QBG(2), combo)
@@ -313,7 +322,8 @@ def _expand_with(monkeypatch, numer, factor, *passing):
 
 @pytest.mark.parametrize("field", range(4))
 def test_summed_product_out_of_range_raises(field, monkeypatch):
-    """A product that ``expand_to_base`` sums out of the packed range raises."""
+    """A product that ``expand_to_base`` sums out of the packed range, here
+    an entry's key times a head key at a field edge, raises."""
     def mono(e):
         v = [0] * 4
         v[field] = e
@@ -334,7 +344,21 @@ def test_summed_product_out_of_range_raises(field, monkeypatch):
                                 (bottom, one, mono(EXP_MIN + 1)),
                                 (top, bottom, mono(-1))):
         got = _expand_with(monkeypatch, numer, factor)
-        assert got.terms == {key: RationalCoeff(want)}
+        assert got.terms == {key: RationalCoeff(want, (1,))}
+
+
+def test_cancelled_head_product_out_of_range_raises(monkeypatch):
+    """An entry's key times a head key out of the packed range raises even
+    when the middle tally cancels the product, so that no tail is read."""
+    top, one = (pack(2, (0, (e, 0), (0, 0))) for e in (EXP_MAX, 1))
+    monkeypatch.setattr(expansions, "_head", lambda *args: (((1, 2),), (one,)))
+    entries = [((((1, 2), eps_vec(1, 2)), ()), top, 1),
+               ((((2, 1), eps_vec(1, 2)), ()), top, -1)]
+    with pytest.raises(ValueError, match="packed range"):
+        expansions.expand_to_base(QBG(2), {}, entries)
+    # in range, the two products cancel and leave no bucket
+    entries = [(sym, one, c) for sym, _, c in entries]
+    assert expansions.expand_to_base(QBG(2), {}, entries) == {}
 
 
 @pytest.mark.parametrize("edge", [EXP_MIN, EXP_MAX])
@@ -392,15 +416,16 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
                 expand(qbg3, combo)
         with pytest.raises(ValueError):
             expand_oracle(qbg3, combo, {})
-    # ... even when the two products that repeat it cancel
-    chev = record_of(3, key[0], one, (2,))
-    monkeypatch.setattr(expansions, "chevalley_expand", lambda *args: chev)
+    # ... even when the two products that repeat it cancel in the middle
+    # tally, so that no tail is read and no bucket holds the repeated atom
+    head = ((key[0],), tuple(one.packed))
+    monkeypatch.setattr(expansions, "_head", lambda *args: head)
     combo = DemazureCombo(3)
     add_term(combo, ((1, 2, 3), eps_vec(2, 3)), RationalCoeff(one, (2,)))
     add_term(combo, ((2, 1, 3), eps_vec(2, 3)), RationalCoeff(neg(one), (2,)))
     for expand in (expand_buckets, expand_combo):
         with pytest.raises(ValueError, match="repeated"):
-            expand(qbg3, combo)
+            expand(QBG(3), combo)
 
 
 def test_entries_absorb_translation(qbg3):

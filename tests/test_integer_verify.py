@@ -153,18 +153,17 @@ def test_collapsed_sign_fault_fails_cf_with_the_oracle_residual(monkeypatch):
 
 
 def test_minus_expansion_fault_fails_the_second_key_identity_only(monkeypatch):
-    """With the first count of every gch V_w(lam - eps_k) expansion negated,
-    only the -eps_k key identity reads its lhs through such an expansion:
-    every key report fails with the second identity's residual."""
-    expand = expansions.chevalley_expand
+    """With the first entry, A_1 empty, dropped from the head of every
+    gch V_w(lam - eps_k) expansion, only the -eps_k key identity reads its
+    lhs through such an expansion: every key report fails with the second
+    identity's residual, which the oracle reads through the same heads."""
+    head = expansions._head
 
-    def faulty(qbg, w, sign, k):
-        chev = expand(qbg, w, sign, k)
-        if sign == "-" and chev.counts:
-            chev = chev._replace(counts=(-chev.counts[0],) + chev.counts[1:])
-        return chev
+    def faulty(qbg, w, t):
+        ends, keys = head(qbg, w, t)
+        return (ends[1:], keys[1:]) if t < 0 else (ends, keys)
 
-    monkeypatch.setattr(expansions, "chevalley_expand", faulty)
+    monkeypatch.setattr(expansions, "_head", faulty)
     qbg = QBG(3)
     count = 0
     for variant, w, k, xi in instances(qbg):

@@ -197,8 +197,8 @@ def test_summand_out_of_range_raises(qbg2, edge):
 
 def test_one_translation_rule():
     assert sorted(set(callers_in_src("translation_key"))) == [
-        "expansions.py: _block", "expansions.py: _chevalley_sum",
-        "expansions.py: ic_lhs_term"]
+        "expansions.py: _block", "expansions.py: _head",
+        "expansions.py: expand_to_base", "expansions.py: ic_lhs_term"]
     defined = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

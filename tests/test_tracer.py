@@ -2,6 +2,8 @@
 not only in a traced benchmark run."""
 
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import qalcove.cli  # noqa: F401  (loads every layer the tracer wraps)
@@ -23,12 +25,19 @@ def test_tracer_installs_and_restores():
         verified = tracer.summary()
         # a display builder still makes rationals; the verified path makes none
         expansions.ic_rhs_first(qbg, ((2, -1), (0, 0)), 2)
+        with redirect_stdout(io.StringIO()):
+            assert qalcove.cli.main(["expand", "--rank", "2", "--k", "1"]) == 0
+        expanded = tracer.summary()
     finally:
         assert tracer.uninstall()
     calls = tracer.summary()
     assert calls["verify_first_half"]["calls"] == 1
     assert verified["RationalCoeff.__init__"]["calls"] == 0
     assert calls["RationalCoeff.__init__"]["calls"] > 0
-    # expand_to_base reaches the Chevalley expansion through the traced name
-    assert calls["chevalley_expand"]["calls"] >= 1
-    assert tracer.counts["chevalley_expand.misses"] >= 1
+    # the verified path reads the Chevalley heads inside the traced
+    # expand_to_base; expand --k still reaches the traced chevalley_expand
+    assert verified["expand_to_base"]["calls"] >= 1
+    assert verified["chevalley_expand"]["calls"] == 0
+    assert expanded["chevalley_expand"]["calls"] == 1
+    assert tracer.counts["chevalley_expand.misses"] == 1
+    assert expanded["expand_to_base"]["calls"] == verified["expand_to_base"]["calls"] + 1

@@ -18,8 +18,9 @@ the '-' record of -e at k (over Theta*_k) and A_1 its second (over
 Gamma_k(k)), ending at -w.  The e-part e^{eps_{y_1(k)}} and the x-part
 x^{-down(A_1) - down(B)} carry over; the q-part q^{<eps_k, down(B)>} and
 the sign (-1)^{|A_1|} are those of the '-' record.  Rebuilding every '-'
-record this way from direct walks is an oracle for ``_chevalley_sum``
-that shares none of its bookkeeping.
+record this way from direct walks is an oracle for ``chevalley_expand``,
+which reads the '-' heads and their tails, that shares none of its
+bookkeeping.
 """
 
 import random
