@@ -22,9 +22,12 @@ when the unsigned labels |gamma_{i_j}| trace a directed path in the quantum
 Bruhat graph starting at w.  A subset carries ed(A), its endpoint, and
 down(A), the sum of |gamma|^vee over its quantum steps; both compose along
 a concatenated chain.  The mu-chain statistics wt(A), height(A) and n(A)
-are not tracked: ``expansions._head`` splits A over the (+-eps_k)-chain
+are not tracked: ``expansions._middle`` splits A over the (+-eps_k)-chain
 P * Q as A_1 over P and A_2 over Q, and reads wt(A) = ed(A_1) mu,
-height(A) = <mu, down(A_1)> and n(A) = |A_2|.
+height(A) = <mu, down(A_1)> and n(A) = |A_2|.  It sums the A_1 of many
+elements in one forward pass over P, stepping by ``chain_moves`` as the
+walk does, so the walk enumerates and that pass sums, and nothing else
+steps along a chain.
 """
 
 from __future__ import annotations
@@ -227,11 +230,13 @@ def walk_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset
 
 
 def admissible_subsets(qbg: QBG, w: Window, chain: RootChain) -> list[AdmissibleSubset]:
-    """``walk_subsets``, memoized on (w, chain) inside the QBG instance.
+    """``walk_subsets``, memoized on (w, chain) inside the QBG instance,
+    the one cache a QBG holds.
 
-    Callers that read a walk again use this; a walk read once (the
-    Gamma*_k(k) and Theta*_k walks of a Chevalley head) calls
-    ``walk_subsets`` and is not stored.
+    Every walk the library reads goes through it: those of the blocks,
+    ``filtered_A``, ``chained_sums``, the Chevalley tails and
+    ``subset_stats``.  The Gamma*_k(k) and Theta*_k heads are not walked;
+    ``expansions._middle`` sums them in one forward pass.
     """
     cache = qbg._adm_cache
     key = (w, chain)

@@ -25,11 +25,13 @@ into a ``DemazureCombo``, for display only.
 ``expand_to_base`` adds summands to integer buckets at the base weight,
 which is how ``verify`` decides an identity.  It rewrites V_y(lam + eps_t)
 by the Chevalley formula split over the eps_t-chain P * Q: the summands
-are summed per (y, key), each sum is multiplied by the cached head of
-(y, t) (the A_1 over P) into a middle tally per (ed(A_1), key), and only a
-nonzero middle entry reads its tail (the A_2 over Q, the cached walk of
-the block for -t).  ``chevalley_expand`` is that rewrite of one symbol, as
-a flat ``ChevalleyExpansion`` for ``expand --k``.
+are summed per (y, key), one forward pass over P (``_middle``) turns all
+the nonzero sums of a shifted group into the middle tally per (ed(A_1),
+key) of their heads (the A_1 over P), dropping each count that cancels as
+soon as it does, and only a middle entry reads its tail (the A_2 over Q,
+the cached walk of the block for -t).  Nothing of a head is stored.
+``chevalley_expand`` is that rewrite of one symbol, as a flat
+``ChevalleyExpansion`` for ``expand --k``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .alcove import admissible_subsets, filtered_A, make_chain, walk_subsets
+from .alcove import admissible_subsets, chain_moves, filtered_A, make_chain
 from .qbg import QBG
 from .ring import (
     Buckets,
@@ -55,6 +57,7 @@ from .typec import (
     Window,
     act,
     check_letters,
+    doubled,
     eps_vec,
     image,
     letter_from_pos,
@@ -160,28 +163,84 @@ def _eps_key(n: int, a: int) -> int:
     return pack(n, (0, zero_vec(n), eps_vec(a, n)))
 
 
-def _head(qbg: QBG, y: Window, t: int) -> tuple[tuple[Window, ...], tuple[int, ...]]:
-    """The head of gch V_y(lam + eps_t): the ends and keys of the A_1 in
-    A(y, Gamma*_t(t)), or A(y, Theta*_k) for t = -k.
+# One position of a head chain: the product doubled(u) -> u s_alpha, the
+# length change of a quantum edge, and the key delta of a quantum step.
+HeadStep = tuple[Callable[[tuple[int, ...]], Window], int, int]
+
+
+@lru_cache(maxsize=None)
+def _head_plan(n: int, t: int) -> tuple[tuple[HeadStep, ...], tuple[int, ...]]:
+    """What ``_middle`` reads of the head chain of eps_t, Gamma*_t(t) or
+    Theta*_k for t = -k: per position, its ``chain_moves`` entry with the
+    key delta translation_key(eps_t, alpha^vee) - bias of a quantum step;
+    per letter a, at index a (from the end for a < 0), the key
+    e^{eps_a} - bias that an end u with u(t) = a adds."""
+    chain = make_chain("gamma_star" if t > 0 else "theta_star", abs(t), n)
+    mu, bias = eps_vec(t, n), packed_words(n)[0]
+    steps = tuple((prod, q_diff, translation_key(mu, av) - bias)  # see packed_words
+                  for prod, av, q_diff in chain_moves(chain))
+    letters = [*range(1, n + 1), *range(-n, 0)]
+    return steps, (0, *(_eps_key(n, a) - bias for a in letters))
+
+
+def _middle(qbg: QBG, t: int, sources: dict[tuple[Window, int], int]
+            ) -> dict[Window, dict[int, int]]:
+    """The middle tally sum_y c_y head(y, t) of the nonzero sources
+    {(y, key): c_y}, as {ed(A_1): {key: count}} with no zero count.
 
     The eps_t-chain P * Q splits each subset as A_1 u A_2, A_1 over P, so
-    wt(A) = ed(A_1) eps_t, height(A) = <eps_t, down(A_1)>, n(A) = |A_2|.
-    A key is the packed q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{eps_a},
-    a = ed(A_1)(t).  The walk is read once per (y, t) and not stored; each
-    end and key is the one object ``QBG._keys`` holds for its value.
-    ValueError if a key left the packed range.
+    wt(A) = ed(A_1) eps_t, height(A) = <eps_t, down(A_1)>, n(A) = |A_2|;
+    head(y, t) sums q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) eps_t}
+    V_{ed(A_1)} over the A_1 in A(y, P), P the chain of ``_head_plan``.
+    One forward pass over P computes it for every source at once: a state
+    is an element u with its counts per key, and at each position every
+    state with an edge there pushes a snapshot of its counts to the end of
+    that edge, a quantum step adding the position's key delta.  A count
+    that reaches 0 is deleted at once, so a cancelled part is not carried
+    further; at the end each state adds its e-key.  Every key formed,
+    kept or not, is checked: ValueError if one left the packed range.
     """
-    n, one = qbg.n, qbg._keys.setdefault
-    mu, bias = eps_vec(t, n), packed_words(n)[0]
-    ends, keys, seen = [], [], 0
-    for A1 in walk_subsets(qbg, y, make_chain("gamma_star" if t > 0 else "theta_star",
-                                              abs(t), n)):
-        key = translation_key(mu, A1.down) + _eps_key(n, image(A1.end, t)) - bias
-        seen |= key
-        ends.append(one(A1.end, A1.end))
-        keys.append(one(key, key))
-    check_packed(n, seen)
-    return tuple(ends), tuple(keys)
+    steps, e_keys = _head_plan(qbg.n, t)
+    lengths = qbg.length
+    states: dict[Window, list] = {}  # u -> [doubled(u), len(u), {key: count}]
+    for (y, key), c in sources.items():
+        st = states.get(y)
+        if st is None:
+            st = states[y] = [doubled(y), lengths[y], {}]
+        st[2][key] = c
+    seen = 0
+    for prod, q_diff, delta in steps:
+        pushes = []
+        for d, lu, counts in states.values():
+            if counts:
+                y = prod(d)
+                diff = lengths[y] - lu
+                if diff == 1:
+                    pushes.append((y, list(counts.items()), 0))
+                elif diff == q_diff:
+                    pushes.append((y, list(counts.items()), delta))
+        for y, items, delta in pushes:
+            st = states.get(y)
+            if st is None:
+                st = states[y] = [doubled(y), lengths[y], {}]
+            out = st[2]
+            for key, c in items:
+                key += delta
+                seen |= key
+                c += out.get(key, 0)
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+    middle = {}
+    for u, (_, _, counts) in states.items():
+        if counts:
+            e = e_keys[image(u, t)]
+            middle[u] = ends = {key + e: c for key, c in counts.items()}
+            for key in ends:
+                seen |= key
+    check_packed(qbg.n, seen)
+    return middle
 
 
 def _mu_index(mu: Vec) -> tuple[int, str]:
@@ -198,13 +257,13 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
     weight; returns acc.
 
     An entry at shift 0 is added as it is.  The entries at one shift eps_t
-    and atom tuple are summed per (y, key); each nonzero sum adds the
-    cached ``_head`` of (y, t) into a middle tally keyed (ed(A_1), key +
-    head key), and each nonzero middle entry adds its tail, the B of
-    ``_block`` for -t from ed(A_1) read at lam, to the bucket of ed(B).
-    ValueError if a key left the packed range or an atom repeats.
+    and atom tuple are summed per (y, key); the nonzero sums are the
+    sources of one ``_middle`` pass, and each entry of its middle tally
+    adds its tail, the B of ``_block`` for -t from ed(A_1) read at lam, to
+    the bucket of ed(B).  ValueError if a key left the packed range or an
+    atom repeats.
     """
-    n, heads = qbg.n, qbg._heads
+    n = qbg.n
     bias, zero = packed_words(n)[0], zero_vec(n)
     seen = 0
     shifted: dict[tuple, dict] = {}  # (mu, atoms) -> {(y, key): count}
@@ -226,27 +285,18 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
         t = k if s == "+" else -k
         both, tail = tuple(sorted(_atoms(t) + atoms)), _block_chain(-t, n)
         _check_atoms(both)
-        middle: dict[tuple[Window, int], int] = {}
-        for (y, k1), c in group.items():
-            if c:
-                head = heads.get((y, t))
-                if head is None:
-                    head = heads[(y, t)] = _head(qbg, y, t)
-                k1 -= bias  # see packed_words
-                for u, k2 in zip(*head):
-                    key = u, k1 + k2
-                    middle[key] = middle.get(key, 0) + c
-        for (u, k2), c in middle.items():
-            seen |= k2
-            if c:
-                k2, c = k2 - bias, sign * c
-                for B in admissible_subsets(qbg, u, tail):
-                    key = k2 + translation_key(zero, B.down)
+        middle = _middle(qbg, t, {yk: c for yk, c in group.items() if c})
+        for u, counts in middle.items():
+            for B in admissible_subsets(qbg, u, tail):
+                k2 = translation_key(zero, B.down) - bias  # see packed_words
+                out = acc.get(((B.end, zero), both))
+                if out is None:
+                    out = acc[((B.end, zero), both)] = {}
+                s = -sign if len(B.positions) % 2 else sign
+                for k1, c in counts.items():
+                    key = k1 + k2
                     seen |= key
-                    out = acc.get(((B.end, zero), both))
-                    if out is None:
-                        out = acc[((B.end, zero), both)] = {}
-                    out[key] = out.get(key, 0) + (-c if len(B.positions) % 2 else c)
+                    out[key] = out.get(key, 0) + s * c
     check_packed(n, seen)
     return acc
 

@@ -69,19 +69,17 @@ class DirectedPath:
 
 
 class QBG:
-    """Quantum Bruhat graph at a fixed rank, with the memo tables of the
-    alcove and expansions layers: subset walks and Chevalley heads."""
+    """Quantum Bruhat graph at a fixed rank, with the one memo table of the
+    alcove layer: the admissible-subset walks."""
 
     def __init__(self, n: int):
         self.n = n
         self.group = weyl_group(n)
         self.pos_roots = positive_roots(n)
         self.length = {w: length(w) for w in self.group}
-        # chained sums are recomputed per instance, not stored
+        # chained sums are recomputed per instance and Chevalley heads per
+        # shifted group, neither stored
         self._adm_cache: dict = {}       # (w, chain) -> admissible subsets
-        self._heads: dict = {}           # (y, t) -> Chevalley head (ends, keys)
-        self._keys: dict = {}            # end window or packed key -> the one
-                                         # object of that value the heads hold
 
     # -- edges ---------------------------------------------------------
 

@@ -32,7 +32,8 @@ into the key of each summand it builds.
 
 Sums are kept as integer buckets {(symbol, sorted atoms): {packed monomial:
 count}}: ``fold_into`` adds summands into them, and ``expand_to_base``
-adds the Chevalley tails of a middle tally of summands times heads.
+adds the Chevalley tails of a middle tally, the heads of a group of
+summands summed in one forward pass.
 ``over_common`` puts the buckets of a symbol over their common denominator
 by ``times_atom``, one packed subtraction per monomial, and is the one
 place a bucket is multiplied by an atom.  An identity is decided on such

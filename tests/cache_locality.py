@@ -1,16 +1,16 @@
-"""What a verify sweep stores in the QBG's caches, and what it reads again.
+"""What a verify sweep stores in the QBG's walk cache, and what it reads again.
 
 Runs the task list of ``qalcove verify`` (the same flags: --rank, --sample,
 --seed, --variant) serially in this process, through ``cli.main``, with the
-caches of its one ``QBG`` replaced by dicts that count their lookups.  It
-prints one JSON object: for each cache, and for the walk cache per chain
+one cache of its ``QBG``, ``_adm_cache``, replaced by a dict that counts its
+lookups.  It prints one JSON object: for the cache, and for it per chain
 kind, the keys ``stored``, the ``rereads`` (lookups beyond the one that
 stored the key) and the ``mb`` of the values.  ``mb`` is the
 ``sys.getsizeof`` sum over every distinct object the values reach, each
-counted once, in the first cache listed that reaches it, with the group's
-windows left out.  ``_heads`` also reports its ``entries``, one per A_1
-of a cached head, and ``uncached_walks`` and ``uncached_subsets`` count
-the head walks ``expansions._head`` makes without storing them.
+counted once, with the group's windows left out.  The Chevalley heads are
+not cached: ``heads`` counts the forward passes of ``expansions._middle``,
+the nonzero (y, key) sums they start from (``sources``) and the middle
+entries they return (``middle``).
 
     PYTHONPATH=src python3 tests/cache_locality.py --rank 5 --sample 3000 --seed 7
 
@@ -60,40 +60,34 @@ class CountedDict(dict):
         return super().setdefault(key, default)
 
 
-# each cache of the QBG, with how its keys are grouped, in report order
-CACHES = {
-    "_adm_cache": lambda key: key[1].kind,
-    "_heads": lambda key: "_heads",
-    "_keys": lambda key: "_keys",
-}
-
-
 class CountedQBG(QBG):
+    """A QBG whose one cache, the walk cache, counts its lookups per chain kind."""
+
     def __init__(self, n):
         super().__init__(n)
-        for name, group in CACHES.items():
-            setattr(self, name, CountedDict(group))
+        self._adm_cache = CountedDict(lambda key: key[1].kind)
 
 
 def locality(argv) -> dict:
     """Run ``qalcove verify`` serially on argv; the cache figures."""
-    uncached = Counter()
-    walk = expansions.walk_subsets
+    heads = Counter()
+    middle = expansions._middle
 
-    def counted_walk(qbg, w, chain):
-        out = walk(qbg, w, chain)
-        uncached[chain.kind, "walks"] += 1
-        uncached[chain.kind, "subsets"] += len(out)
+    def counted_middle(qbg, t, sources):
+        out = middle(qbg, t, sources)
+        heads["passes"] += 1
+        heads["sources"] += len(sources)
+        heads["middle"] += sum(map(len, out.values()))
         return out
 
-    cli.QBG, expansions.walk_subsets = CountedQBG, counted_walk
+    cli.QBG, expansions._middle = CountedQBG, counted_middle
     try:
         t0 = time.process_time()
         code = cli.main(["verify", *argv, "--jobs", "1", "--format", "json",
                          "--out", os.devnull])
         cpu = time.process_time() - t0
     finally:
-        cli.QBG, expansions.walk_subsets = QBG, walk
+        cli.QBG, expansions._middle = QBG, middle
     qbg = cli._WORKER_QBG
     seen = {id(w) for w in qbg.group}  # the group's windows are not counted
 
@@ -102,29 +96,20 @@ def locality(argv) -> dict:
         seen.update(map(id, objs))
         return round(sum(map(sys.getsizeof, objs)) / 1e6, 2)
 
-    caches, walks = {}, {}
-    for name in CACHES:
-        cache = getattr(qbg, name)
-        groups = {}
-        for key, value in cache.items():
-            groups.setdefault(cache.group(key), []).append(value)
-        if name == "_adm_cache":
-            for kind in sorted(set(groups) | {k for k, _ in uncached}):
-                values = groups.get(kind, [])
-                walks[kind] = {
-                    "stored": len(values),
+    cache = qbg._adm_cache
+    groups = {}
+    for key, value in cache.items():
+        groups.setdefault(cache.group(key), []).append(value)
+    walks = {kind: {"stored": len(values),
                     "rereads": cache.reads[kind] - len(values),
                     "subsets": sum(map(len, values)),
-                    "mb": mb(values),
-                    "uncached_walks": uncached[kind, "walks"],
-                    "uncached_subsets": uncached[kind, "subsets"],
-                }
-        caches[name] = {"stored": len(cache),
-                        "rereads": sum(cache.reads.values()) - len(cache),
-                        "mb": round(sum(w["mb"] for w in walks.values()), 2)
-                        if name == "_adm_cache" else mb(list(cache.values()))}
-    caches["_heads"]["entries"] = sum(len(ends) for ends, _ in qbg._heads.values())
-    return {"exit_code": code, "cpu_s": round(cpu, 2), "caches": caches, "walks": walks}
+                    "mb": mb(values)}
+             for kind, values in sorted(groups.items())}
+    caches = {"_adm_cache": {"stored": len(cache),
+                             "rereads": sum(cache.reads.values()) - len(cache),
+                             "mb": round(sum(w["mb"] for w in walks.values()), 2)}}
+    return {"exit_code": code, "cpu_s": round(cpu, 2), "caches": caches, "walks": walks,
+            "heads": dict(heads)}
 
 
 def peak(argv, jobs: int) -> dict:

@@ -15,7 +15,7 @@ from qalcove.alcove import (
     make_chain,
     walk_subsets,
 )
-from qalcove.qbg import DirectedPath
+from qalcove.qbg import DirectedPath, move
 from qalcove.ring import (
     Coeff,
     DemazureCombo,
@@ -804,8 +804,7 @@ def oracle_chevalley_sum(qbg, w, t):
 
     The head walk from w is read only here, once per record, so it is
     walked uncached; the tail walks from each ed(A_1) are the blocks'
-    cached ones.  Few distinct keys occur in all records, so each kept key
-    is the one int ``QBG._keys`` holds for its value.
+    cached ones.
     """
     n = qbg.n
     mu, zero = eps_vec(t, n), zero_vec(n)
@@ -828,10 +827,73 @@ def oracle_chevalley_sum(qbg, w, t):
             entry = (B.end, p)
             acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
     check_packed(n, seen)
-    one = qbg._keys.setdefault
-    kept = [(end, one(p, p), c) for (end, p), c in acc.items() if c]
+    kept = [(end, p, c) for (end, p), c in acc.items() if c]
     ends, keys, counts = zip(*kept) if kept else ((), (), ())
     return expansions.ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
+
+
+def oracle_head(qbg, y, t):
+    """The head of gch V_y(lam + eps_t), as ``expansions._head`` built it
+    before the forward pass: the ends and keys of the A_1 in
+    A(y, Gamma*_t(t)), or A(y, Theta*_k) for t = -k, one walk per (y, t).
+
+    A key is the packed q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{eps_a},
+    a = ed(A_1)(t).  ValueError if a key left the packed range.
+    """
+    n = qbg.n
+    mu, bias = eps_vec(t, n), packed_words(n)[0]
+    ends, keys, seen = [], [], 0
+    for A1 in walk_subsets(qbg, y, make_chain("gamma_star" if t > 0 else "theta_star",
+                                              abs(t), n)):
+        key = translation_key(mu, A1.down) + expansions._eps_key(n, image(A1.end, t)) - bias
+        seen |= key
+        ends.append(A1.end)
+        keys.append(key)
+    check_packed(n, seen)
+    return tuple(ends), tuple(keys)
+
+
+def oracle_middle(qbg, t, sources, heads=None):
+    """The nonzero middle tally of ``expand_to_base`` as it was built before
+    the forward pass: each nonzero source (y, key) adds c times every entry
+    of ``oracle_head(y, t)``, memoized in ``heads``, into a tally keyed
+    (ed(A_1), key + head key).  Returns {(end, key): count} without zero
+    counts; ValueError if a middle key, kept or not, left the packed range.
+    """
+    heads = {} if heads is None else heads
+    n = qbg.n
+    bias = packed_words(n)[0]
+    middle = {}
+    for (y, k1), c in sources.items():
+        if c:
+            head = heads.get((y, t))
+            if head is None:
+                head = heads[(y, t)] = oracle_head(qbg, y, t)
+            k1 -= bias  # see packed_words
+            for u, k2 in zip(*head):
+                key = u, k1 + k2
+                middle[key] = middle.get(key, 0) + c
+    seen = 0
+    for _, k2 in middle:
+        seen |= k2
+    check_packed(n, seen)
+    return {key: c for key, c in middle.items() if c}
+
+
+def flat_middle(middle):
+    """{(end, key): count} of a ``expansions._middle`` tally."""
+    return {(u, key): c for u, counts in middle.items() for key, c in counts.items()}
+
+
+def patch_head_plan(monkeypatch, positions, e_key):
+    """Replace the plan of every head chain by ``positions``, each a
+    (positive root, key delta of a quantum step) pair, with the key
+    ``e_key`` for every letter, so ``expansions._middle`` runs its real
+    steps and range check on the injected keys.  The patched name is the
+    one ``_middle`` reads, so no plan cached before hides it."""
+    steps = tuple((move(alpha)[0], move(alpha)[2], delta) for alpha, delta in positions)
+    monkeypatch.setattr(expansions, "_head_plan",
+                        lambda n, t: (steps, (e_key,) * (2 * n + 1)))
 
 
 def oracle_record(qbg, w, sign, k, records):

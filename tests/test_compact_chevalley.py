@@ -1,17 +1,18 @@
-"""The Chevalley head cache holds flat tuples of ints and shared windows.
+"""The QBG stores no Chevalley expansion: its one cache is the walk cache.
 
-``expand_to_base`` caches one head per (y, t) in ``QBG._heads``: parallel
-tuples of the ends ed(A_1) and the packed keys of the A_1 over the
-Gamma*_t(t) or Theta*_t head of the eps_t-chain, each end and key the one
-object ``QBG._keys`` holds for its value.  A ``Coeff``, ``RationalCoeff``
-or dict in a cached value would cost hundreds of bytes per symbol again,
-so after a sweep every value must reach only tuples and ints, and the
-heads must cost less than the whole records the cache held before
-(``helpers.oracle_record``).  ``cache_bytes`` counts what the cache costs;
-run as a script, this module prints that count after a serial, seeded
-``qalcove verify`` sample:
+``expand_to_base`` computes the heads of each shifted group in one forward
+pass (``expansions._middle``) and stores nothing, and its tails read the
+cached walks of the blocks' gamma and theta chains.  So after a sweep the
+QBG holds no dict but its length table and ``_adm_cache``, whose values
+reach only lists, tuples and ints.  A ``Coeff``, ``RationalCoeff`` or dict
+in a cached value would cost hundreds of bytes per symbol again.
+``cache_bytes`` counts what the walk cache costs; run as a script, this
+module prints that count after a serial, seeded ``qalcove verify`` sample:
 
     PYTHONPATH=src python3 tests/test_compact_chevalley.py --rank 5 --sample 1500 --seed 5
+
+The expansions are also checked against the combination-level path they
+replaced, ``combo_expand_to_base``.
 """
 
 import argparse
@@ -20,8 +21,9 @@ import os
 import random
 import sys
 
-from helpers import expand_buckets, oracle_record
+from helpers import expand_buckets
 from qalcove import cli
+from qalcove.alcove import AdmissibleSubset
 from qalcove.expansions import (
     _mu_index,
     chevalley_expand,
@@ -62,28 +64,16 @@ def reached(roots, skip=()):
 
 
 def cache_bytes(qbg) -> tuple[int, int]:
-    """(bytes, entries) of the values in ``qbg._heads``.
+    """(bytes, subsets) of the values in ``qbg._adm_cache``.
 
     The bytes are the ``sys.getsizeof`` sum over every distinct object the
-    cached heads reach, each shared end and key once.
+    cached walks reach, each shared end and down once, the group's windows
+    left out (the QBG holds those anyway).
     """
-    values = list(qbg._heads.values())
-    size = sum(sys.getsizeof(obj) for obj in reached(values))
-    return size, sum(len(ends) for ends, _ in values)
-
-
-def record_bytes(n, heads) -> tuple[int, int]:
-    """(bytes, entries) of the whole records of the (y, t) of ``heads``,
-    built by the record path on a fresh QBG(n), each end the walk cache
-    owns left out."""
-    qbg = QBG(n)
-    records = {}
-    for y, t in heads:
-        oracle_record(qbg, y, "+" if t > 0 else "-", abs(t), records)
-    shared = {id(s.end) for subsets in qbg._adm_cache.values() for s in subsets}
-    values = list(records.values())
-    size = sum(sys.getsizeof(obj) for obj in reached(values, shared))
-    return size, sum(len(v.keys) for v in values)
+    values = list(qbg._adm_cache.values())
+    group = {id(w) for w in qbg.group}
+    size = sum(sys.getsizeof(obj) for obj in reached(values, group))
+    return size, sum(map(len, values))
 
 
 def test_cache_holds_only_tuples_and_ints():
@@ -92,17 +82,15 @@ def test_cache_holds_only_tuples_and_ints():
         for m in range(1, 4):
             for variant in ("first", "second", "key"):
                 assert cli.VERIFIERS[variant](qbg, w, m, (0, 0, 0)).ok
-    values = list(qbg._heads.values())
-    assert len(values) == 48 * 3 * 2  # every (y, t) was expanded
-    assert {type(obj) for obj in reached(values)} == {tuple, int}
-    assert all(len(ends) == len(keys) > 0 for ends, keys in values)
-    assert all(obj is qbg._keys[obj] for ends, keys in values for obj in ends + keys)
-    size, entries = cache_bytes(qbg)
-    # 59 020 B for 944 entries here, 62 B per entry: each distinct end and
-    # key is one object shared by every head
-    assert size < 70 * entries
-    # the whole records of the same (y, t) took 127 656 B for 2 320 entries
-    assert size < record_bytes(3, qbg._heads)[0]
+    assert [name for name, value in vars(qbg).items()
+            if isinstance(value, dict)] == ["length", "_adm_cache"]
+    assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
+    values = list(qbg._adm_cache.values())
+    assert {type(obj) for obj in reached(values)} == {list, AdmissibleSubset, tuple, int}
+    size, subsets = cache_bytes(qbg)
+    # 288 walks of 944 subsets in 198 148 B here, 210 B per subset: a
+    # named tuple with its positions, end and down, a few of them shared
+    assert size < 256 * subsets
 
 
 def combo_expand_to_base(qbg, combo):
@@ -155,10 +143,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     code = cli.main(["verify", "--rank", str(args.rank), "--sample", str(args.sample),
                      "--seed", str(args.seed), "--format", "json", "--out", os.devnull])
-    size, entries = cache_bytes(cli._WORKER_QBG)
-    print(json.dumps({"exit_code": code, "heads": len(cli._WORKER_QBG._heads),
-                      "entries": entries, "bytes": size,
-                      "bytes_per_entry": round(size / entries, 1)}))
+    qbg = cli._WORKER_QBG
+    size, subsets = cache_bytes(qbg)
+    print(json.dumps({"exit_code": code, "walks": len(qbg._adm_cache),
+                      "subsets": subsets, "bytes": size,
+                      "bytes_per_subset": round(size / subsets, 1)}))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ combination exactly: equal, and with the same JSON.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -28,6 +29,7 @@ from helpers import (
     monomial,
     neg,
     oracle_subsets,
+    patch_head_plan,
     term_stream,
     term_block,
 )
@@ -54,6 +56,8 @@ from qalcove.ring import (
     clear_denominators,
     divide_by_atom,
     pack,
+    packed_words,
+    unpack,
 )
 from qalcove.qbg import QBG
 from qalcove.typec import act, eps_vec, zero_vec
@@ -155,27 +159,27 @@ def test_chevalley_expand_matches_oracle(qbg2, qbg3):
 
 
 def test_sweep_caches_follow_the_cache_rules():
-    """After an exhaustive rank-3 sweep: every head key and end is the one
-    object ``QBG._keys`` holds for its value, the walk cache holds no star
-    walk (``_head`` walks those uncached), and the expansions read through
-    the cached heads equal the oracle's."""
+    """After an exhaustive rank-3 sweep the QBG holds no cache but the walk
+    cache, which holds no star walk (the heads are one uncached forward
+    pass per shifted group), and the expansions read through that pass
+    equal the oracle's for every (y, t) the sweep expanded."""
     qbg = QBG(3)
     for w in qbg.group:
         for m in range(1, 4):
             for variant in ("first", "second", "key"):
                 assert cli.VERIFIERS[variant](qbg, w, m, (0, 0, 0)).ok
+    assert [name for name, value in vars(qbg).items()
+            if isinstance(value, dict)] == ["length", "_adm_cache"]
     assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
-    heads = qbg._heads
-    assert len(heads) == 48 * 3 * 2
-    held = [obj for ends, keys in heads.values() for obj in ends + keys]
-    assert all(obj is qbg._keys[obj] for obj in held)
-    assert set(qbg._keys) == set(held)
+    stored = len(qbg._adm_cache)
     cache = {}
-    for w, t in list(heads):
-        sign, k = "+" if t > 0 else "-", abs(t)
-        assert_record(chevalley_expand(qbg, w, sign, k),
-                      chevalley_oracle(qbg, w, sign, k, cache))
-    assert len(heads) == 48 * 3 * 2  # read from the cache, none added
+    for w in qbg.group:
+        for k in range(1, 4):
+            for sign in "+-":
+                assert_record(chevalley_expand(qbg, w, sign, k),
+                              chevalley_oracle(qbg, w, sign, k, cache))
+    assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
+    assert len(qbg._adm_cache) == stored  # every tail walk was cached already
 
 
 @pytest.mark.parametrize("xi", [None, "shifted"])
@@ -297,14 +301,15 @@ def test_expand_to_base_random_combos_match_oracle(qbg2, qbg3):
 
 def _expand_with(monkeypatch, numer, factor, *passing):
     """The integer ``expand_to_base`` of numer V_{12}(lam + eps_1), plus each
-    of ``passing`` times V_{21}(lam), with every Chevalley head replaced by
-    the one entry (V_{12}, factor); the tail from V_{12} for the letter -1
-    walks the empty Theta_1, so each expansion is factor V_{12}(lam) over
-    the atom 1.  The combination-level oracle, which reads the same head
-    through ``chevalley_expand``, must agree."""
-    head = (((1, 2),) * len(factor.packed), tuple(factor.packed))
-    assert set(factor.packed.values()) == {1}  # a head entry counts once
-    monkeypatch.setattr(expansions, "_head", lambda *args: head)
+    of ``passing`` times V_{21}(lam), with every head chain replaced by one
+    with no position and the e-key ``factor``: the forward pass from V_{12}
+    takes no step and gives the one middle entry (V_{12}, numer factor),
+    each key checked by the pass's real guard.  The tail from V_{12} for
+    the letter -1 walks the empty Theta_1, so each expansion is numer factor
+    V_{12}(lam) over the atom 1.  The combination-level oracle, which reads
+    the same pass through ``chevalley_expand``, must agree."""
+    assert len(factor.packed) == 1 and set(factor.packed.values()) == {1}
+    patch_head_plan(monkeypatch, (), next(iter(factor.packed)) - packed_words(2)[0])
     combo = DemazureCombo(2)
     add_term(combo, ((1, 2), eps_vec(1, 2)), RationalCoeff(numer))
     for rc in passing:
@@ -348,29 +353,50 @@ def test_summed_product_out_of_range_raises(field, monkeypatch):
 
 
 def test_cancelled_head_product_out_of_range_raises(monkeypatch):
-    """An entry's key times a head key out of the packed range raises even
-    when the middle tally cancels the product, so that no tail is read."""
-    top, one = (pack(2, (0, (e, 0), (0, 0))) for e in (EXP_MAX, 1))
-    monkeypatch.setattr(expansions, "_head", lambda *args: (((1, 2),), (one,)))
-    entries = [((((1, 2), eps_vec(1, 2)), ()), top, 1),
-               ((((2, 1), eps_vec(1, 2)), ()), top, -1)]
-    with pytest.raises(ValueError, match="packed range"):
-        expansions.expand_to_base(QBG(2), {}, entries)
-    # in range, the two products cancel and leave no bucket
-    entries = [(sym, one, c) for sym, _, c in entries]
-    assert expansions.expand_to_base(QBG(2), {}, entries) == {}
+    """A key the forward pass forms out of the packed range raises even when
+    its count cancels later in the pass, so that no tail is read.
+
+    The head chain is replaced by the roots 2eps_1, whose quantum step adds
+    x_1, then 2eps_2.  From V_{(-1,2)} and -V_{(-1,-2)} at the key x_1^top,
+    the first position moves both along quantum edges to V_{(1,2)} and
+    -V_{(1,-2)} at x_1^{top+1}; at the second the pairs {(1,2), (1,-2)} and
+    {(-1,2), (-1,-2)} swap their counts along edges both ways, and every
+    count cancels."""
+    one, two = (pack(2, (0, (e, 0), (0, 0))) for e in (1, 2))
+    bias = packed_words(2)[0]
+    patch_head_plan(monkeypatch, (((2, 0), one - bias), ((0, 2), 0)), 0)
+    for top, raises in ((pack(2, (0, (EXP_MAX, 0), (0, 0))), True), (two, False)):
+        entries = [((((-1, 2), eps_vec(1, 2)), ()), top, 1),
+                   ((((-1, -2), eps_vec(1, 2)), ()), top, -1)]
+        if raises:
+            with pytest.raises(ValueError, match="packed range"):
+                expansions.expand_to_base(QBG(2), {}, entries)
+        else:
+            # in range, every count cancels and no bucket is left
+            assert expansions.expand_to_base(QBG(2), {}, entries) == {}
 
 
 @pytest.mark.parametrize("edge", [EXP_MIN, EXP_MAX])
 def test_chevalley_sum_out_of_range_raises(edge, monkeypatch):
-    # every summand key is the A_1 key plus a B key; put both at one edge
+    """Every summand key is an A_1 key times a B key; put both at one edge
+    through ``translation_key``.  The head plan reads it for the key delta
+    of each quantum step, so a fresh plan cache is patched in with it: the
+    head of V_{(-1,2)}(lam + eps_1) has the A_1 {1}, {1, 2} and {2}, each
+    with one quantum step, and their middle keys carry the edge, which the
+    tail then pushes past it."""
     def key_at_edge(mu, xi):
         n = len(xi)
         return pack(n, (0, (edge,) + (0,) * (n - 1), (0,) * n))
 
     monkeypatch.setattr(expansions, "translation_key", key_at_edge)
+    monkeypatch.setattr(expansions, "_head_plan",
+                        lru_cache(maxsize=None)(expansions._head_plan.__wrapped__))
+    qbg, w, base = QBG(2), (-1, 2), pack(2, (0, (0, 0), (0, 0)))
+    middle = expansions._middle(qbg, 1, {(w, base): 1})
+    x_1 = sorted(unpack(2, key)[1][0] for counts in middle.values() for key in counts)
+    assert x_1 == sorted([0, edge, edge, edge])
     with pytest.raises(ValueError, match="packed range"):
-        expansions.chevalley_expand(QBG(2), (1, 2), "+", 1)
+        expansions.chevalley_expand(qbg, w, "+", 1)
 
 
 def test_monomial_numerator_keeps_every_atom():
@@ -416,10 +442,10 @@ def test_repeated_atom_raises(qbg3, monkeypatch):
                 expand(qbg3, combo)
         with pytest.raises(ValueError):
             expand_oracle(qbg3, combo, {})
-    # ... even when the two products that repeat it cancel in the middle
-    # tally, so that no tail is read and no bucket holds the repeated atom
-    head = ((key[0],), tuple(one.packed))
-    monkeypatch.setattr(expansions, "_head", lambda *args: head)
+    # ... even when the two products that repeat it cancel in the forward
+    # pass, so that no tail is read and no bucket holds the repeated atom:
+    # along the simple root eps_1 - eps_2 the two elements swap their counts
+    patch_head_plan(monkeypatch, (((1, -1, 0), 0),), 0)
     combo = DemazureCombo(3)
     add_term(combo, ((1, 2, 3), eps_vec(2, 3)), RationalCoeff(one, (2,)))
     add_term(combo, ((2, 1, 3), eps_vec(2, 3)), RationalCoeff(neg(one), (2,)))

@@ -43,9 +43,10 @@ from qalcove.ring import (
     RationalCoeff,
     cancels,
     pack,
+    packed_words,
     times_atom,
 )
-from qalcove.typec import window_str, zero_vec
+from qalcove.typec import image, window_str, zero_vec
 
 XIS = {2: ((0, 0), (1, -1)), 3: ((0, 0, 0), (1, 0, -1))}
 
@@ -153,17 +154,25 @@ def test_collapsed_sign_fault_fails_cf_with_the_oracle_residual(monkeypatch):
 
 
 def test_minus_expansion_fault_fails_the_second_key_identity_only(monkeypatch):
-    """With the first entry, A_1 empty, dropped from the head of every
+    """With the term of the empty A_1 dropped from every middle tally of a
     gch V_w(lam - eps_k) expansion, only the -eps_k key identity reads its
     lhs through such an expansion: every key report fails with the second
-    identity's residual, which the oracle reads through the same heads."""
-    head = expansions._head
+    identity's residual, which the oracle reads through the same pass."""
+    middle = expansions._middle
 
-    def faulty(qbg, w, t):
-        ends, keys = head(qbg, w, t)
-        return (ends[1:], keys[1:]) if t < 0 else (ends, keys)
+    def faulty(qbg, t, sources):
+        out = middle(qbg, t, sources)
+        if t < 0:
+            bias = packed_words(qbg.n)[0]
+            for (y, key), c in sources.items():
+                counts = out.setdefault(y, {})
+                key += expansions._eps_key(qbg.n, image(y, t)) - bias
+                counts[key] = counts.get(key, 0) - c
+                if not counts[key]:
+                    del counts[key]
+        return out
 
-    monkeypatch.setattr(expansions, "_head", faulty)
+    monkeypatch.setattr(expansions, "_middle", faulty)
     qbg = QBG(3)
     count = 0
     for variant, w, k, xi in instances(qbg):

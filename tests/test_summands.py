@@ -197,7 +197,7 @@ def test_summand_out_of_range_raises(qbg2, edge):
 
 def test_one_translation_rule():
     assert sorted(set(callers_in_src("translation_key"))) == [
-        "expansions.py: _block", "expansions.py: _head",
+        "expansions.py: _block", "expansions.py: _head_plan",
         "expansions.py: expand_to_base", "expansions.py: ic_lhs_term"]
     defined = set()
     for path in SRC.glob("*.py"):
