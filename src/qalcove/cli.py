@@ -320,7 +320,7 @@ def _cmd_expand(args) -> tuple[str, int]:
     x = (w, xi)
     if args.k is not None:
         sign = "-" if args.sign == "minus" else "+"
-        combo = chevalley_expand(qbg, w, sign, args.k).combo()
+        combo = chevalley_expand(qbg, w, sign, args.k)
     elif args.variant in (None, "first"):
         combo = ic_rhs_first(qbg, x, args.m)
     elif args.variant == "second":

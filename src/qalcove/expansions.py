@@ -25,20 +25,20 @@ into a ``DemazureCombo``, for display only.
 ``expand_to_base`` adds summands to integer buckets at the base weight,
 which is how ``verify`` decides an identity.  It rewrites V_y(lam + eps_t)
 by the Chevalley formula split over the eps_t-chain P * Q: the summands
-are summed per (y, key), one forward pass over P (``_middle``) turns all
-the nonzero sums of a shifted group into the middle tally per (ed(A_1),
-key) of their heads (the A_1 over P), dropping each count that cancels as
-soon as it does, and only a middle entry reads its tail (the A_2 over Q,
-the cached walk of the block for -t).  Nothing of a head is stored.
-``chevalley_expand`` is that rewrite of one symbol, as a flat
-``ChevalleyExpansion`` for ``expand --k``.
+are summed per y and key, one forward pass over P (``_middle``) turns the
+nonzero sums of a shifted group into the middle tally per (ed(A_1), key)
+of their heads (the A_1 over P), dropping each count that cancels as soon
+as it does, and only a middle entry reads its tail (the A_2 over Q, the
+cached walk of the block for -t).  Nothing of a head is stored.
+``chevalley_expand`` is that rewrite of one symbol, as the reduced
+``DemazureCombo`` that ``expand --k`` shows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .alcove import admissible_subsets, chain_moves, filtered_A, make_chain
 from .qbg import QBG
@@ -100,35 +100,10 @@ def enumerate_S(src: int, dst: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-class ChevalleyExpansion(NamedTuple):
-    """gch V_w(lam +- eps_k) as flat entries over one shared denominator.
-
-    Entry i stands for counts[i] q^k x^a e^nu / prod(atoms) gch V_{ends[i]}(lam),
-    where keys[i] is the packed monomial q^k x^a e^nu.  Each (end, key)
-    occurs once and no count is zero.  ``combo`` is the one place it
-    becomes a rational combination.
-    """
-
-    n: int
-    atoms: tuple[int, ...]
-    ends: tuple[Window, ...]
-    keys: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    def combo(self) -> DemazureCombo:
-        """The reduced combination, for display and comparison."""
-        zero = zero_vec(self.n)
-        return DemazureCombo.folded(self.n, (
-            (((end, zero), self.atoms), key, c)
-            for end, key, c in zip(self.ends, self.keys, self.counts)))
-
-    def to_json(self):
-        return self.combo().to_json()
-
-
-def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansion:
+def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> DemazureCombo:
     """gch V_w(lam + eps_k) (sign '+') or gch V_w(lam - eps_k) (sign '-')
-    in terms of the gch V_y(lam): ``expand_to_base`` of that one symbol.
+    as the reduced combination of the gch V_y(lam): ``expand_to_base`` of
+    that one symbol.
 
     Over the reduced chain for mu = +-eps_k,
 
@@ -146,10 +121,8 @@ def chevalley_expand(qbg: QBG, w: Window, sign: str, k: int) -> ChevalleyExpansi
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     t, zero = k if sign == "+" else -k, zero_vec(n)
-    acc = expand_to_base(qbg, {}, [(((w, eps_vec(t, n)), ()), pack(n, (0, zero, zero)), 1)])
-    kept = [(y, key, c) for ((y, _), _), b in acc.items() for key, c in b.items() if c]
-    ends, keys, counts = zip(*kept) if kept else ((), (), ())
-    return ChevalleyExpansion(n, _atoms(t), ends, keys, counts)
+    return DemazureCombo.from_buckets(n, expand_to_base(
+        qbg, {}, [(((w, eps_vec(t, n)), ()), pack(n, (0, zero, zero)), 1)]))
 
 
 def _atoms(t: int) -> tuple[int, ...]:
@@ -183,17 +156,18 @@ def _head_plan(n: int, t: int) -> tuple[tuple[HeadStep, ...], tuple[int, ...]]:
     return steps, (0, *(_eps_key(n, a) - bias for a in letters))
 
 
-def _middle(qbg: QBG, t: int, sources: dict[tuple[Window, int], int]
+def _middle(qbg: QBG, t: int, sources: dict[Window, dict[int, int]]
             ) -> dict[Window, dict[int, int]]:
-    """The middle tally sum_y c_y head(y, t) of the nonzero sources
-    {(y, key): c_y}, as {ed(A_1): {key: count}} with no zero count.
+    """The middle tally sum_y c_y head(y, t) of the sources
+    {y: {key: c_y}}, as {ed(A_1): {key: count}} with no zero count.
 
     The eps_t-chain P * Q splits each subset as A_1 u A_2, A_1 over P, so
     wt(A) = ed(A_1) eps_t, height(A) = <eps_t, down(A_1)>, n(A) = |A_2|;
     head(y, t) sums q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) eps_t}
     V_{ed(A_1)} over the A_1 in A(y, P), P the chain of ``_head_plan``.
     One forward pass over P computes it for every source at once: a state
-    is an element u with its counts per key, and at each position every
+    is an element u with its counts per key, a source y starting with its
+    nonzero counts (a zero count is dropped), and at each position every
     state with an edge there pushes a snapshot of its counts to the end of
     that edge, a quantum step adding the position's key delta.  A count
     that reaches 0 is deleted at once, so a cancelled part is not carried
@@ -202,12 +176,9 @@ def _middle(qbg: QBG, t: int, sources: dict[tuple[Window, int], int]
     """
     steps, e_keys = _head_plan(qbg.n, t)
     lengths = qbg.length
-    states: dict[Window, list] = {}  # u -> [doubled(u), len(u), {key: count}]
-    for (y, key), c in sources.items():
-        st = states.get(y)
-        if st is None:
-            st = states[y] = [doubled(y), lengths[y], {}]
-        st[2][key] = c
+    states: dict[Window, list] = {  # u -> [doubled(u), len(u), {key: count}]
+        y: [doubled(y), lengths[y], {key: c for key, c in counts.items() if c}]
+        for y, counts in sources.items()}
     seen = 0
     for prod, q_diff, delta in steps:
         pushes = []
@@ -257,8 +228,8 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
     weight; returns acc.
 
     An entry at shift 0 is added as it is.  The entries at one shift eps_t
-    and atom tuple are summed per (y, key); the nonzero sums are the
-    sources of one ``_middle`` pass, and each entry of its middle tally
+    and atom tuple are summed once into {y: {key: count}}, the sources of
+    one ``_middle`` pass, and each entry of its middle tally
     adds its tail, the B of ``_block`` for -t from ed(A_1) read at lam, to
     the bucket of ed(B).  ValueError if a key left the packed range or an
     atom repeats.
@@ -266,27 +237,28 @@ def expand_to_base(qbg: QBG, acc: Buckets, entries, sign: int = 1) -> Buckets:
     n = qbg.n
     bias, zero = packed_words(n)[0], zero_vec(n)
     seen = 0
-    shifted: dict[tuple, dict] = {}  # (mu, atoms) -> {(y, key): count}
+    shifted: dict[tuple, dict] = {}  # (mu, atoms) -> {y: {key: count}}
     for (sym, atoms), key, c in entries:
         seen |= key
         if any(sym[1]):
-            out = shifted.get((sym[1], atoms))
+            group = shifted.get((sym[1], atoms))
+            if group is None:
+                group = shifted[(sym[1], atoms)] = {}
+            out = group.get(sym[0])
             if out is None:
-                out = shifted[(sym[1], atoms)] = {}
-            key = (sym[0], key)
+                out = group[sym[0]] = {}
         else:
             out = acc.get((sym, atoms))
             if out is None:
                 out = acc[(sym, atoms)] = {}
             c *= sign
         out[key] = out.get(key, 0) + c
-    for (mu, atoms), group in shifted.items():
+    for (mu, atoms), sources in shifted.items():
         k, s = _mu_index(mu)
         t = k if s == "+" else -k
         both, tail = tuple(sorted(_atoms(t) + atoms)), _block_chain(-t, n)
         _check_atoms(both)
-        middle = _middle(qbg, t, {yk: c for yk, c in group.items() if c})
-        for u, counts in middle.items():
+        for u, counts in _middle(qbg, t, sources).items():
             for B in admissible_subsets(qbg, u, tail):
                 k2 = translation_key(zero, B.down) - bias  # see packed_words
                 out = acc.get(((B.end, zero), both))

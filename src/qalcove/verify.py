@@ -125,7 +125,9 @@ def _identity(qbg: QBG, instance: str, t0: float, lhs, rhs) -> VerificationRepor
     folded first, and a verified identity has its number of nonzero symbols
     on each side; the other side is subtracted and ``cancels`` decides.  A
     failure folds both sides again from the same streams and goes through
-    ``_compare``, which reports the residual.
+    ``_compare``, which reports the residual.  It stays a failure if the
+    reduced sides are equal: the two deciders disagree, which is a fault,
+    and the report keeps their zero difference as its residual.
     """
     n = qbg.n
     (terms, at_base), (other, other_at_base) = (rhs, lhs) if lhs[1] else (lhs, rhs)
@@ -136,7 +138,10 @@ def _identity(qbg: QBG, instance: str, t0: float, lhs, rhs) -> VerificationRepor
                                   time.perf_counter() - t0)
     lhs, rhs = (DemazureCombo.from_buckets(n, _fold(qbg, {}, side(), at_base))
                 for side, at_base in (lhs, rhs))
-    return _compare(instance, lhs, rhs, t0)
+    report = _compare(instance, lhs, rhs, t0)
+    if report.ok:
+        report.status, report.residual = "failed", lhs - rhs
+    return report
 
 
 # -- identity checks -----------------------------------------------------

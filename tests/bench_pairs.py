@@ -9,7 +9,8 @@ It prints (or writes to --out) one JSON object: the command, the machine,
 every pair's end-to-end metrics for both sides with the change's relative
 difference, and per metric the medians and quartiles of each side, the
 median relative difference and the number of pairs in which the change
-was lower.
+was lower.  If a run fails, it writes the pairs made so far, with the
+failing side's exit code and the tail of its stderr, and exits 1.
 
     python3 tests/bench_pairs.py PARENT CHANGE --workload verify-r5-jobs2 \\
         --pairs 10 --seconds 30 --seed 1 --out pairs.json
@@ -29,16 +30,21 @@ import time
 METRICS = ("setup_s", "wall_s", "instance_p50_ms", "instance_tail_ms", "peak_rss_mb")
 
 
+class RunFailed(Exception):
+    """A ``bench/run.py`` run that exited non-zero or printed nothing:
+    (exit code, stderr tail)."""
+
+
 def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``checkout``: its last stdout line, parsed."""
+    """One ``bench/run.py`` run in ``checkout``: its last stdout line, parsed.
+    RunFailed if the run failed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, stdin=subprocess.DEVNULL, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise SystemExit(f"bench/run.py failed in {checkout} (exit {proc.returncode}):\n"
-                         f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     out = json.loads(lines[-1])
     return {"correct": out["correct"], "attempted": out["attempted"],
             "failed": out["failed"],
@@ -78,12 +84,20 @@ def main(argv=None):
     ap.add_argument("--out", help="write the JSON here instead of stdout")
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = []
+    pairs, failure = [], None
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
-        for side in order:
-            pair[side] = run_bench(sides[side], args.workload, args.seed, args.seconds)
+        try:
+            for side in order:
+                pair[side] = run_bench(sides[side], args.workload, args.seed, args.seconds)
+        except RunFailed as e:
+            code, stderr = e.args
+            failure = {"pair": i + 1, "side": side, "exit_code": code,
+                       "stderr_tail": stderr, "runs_of_this_pair": pair}
+            print(f"pair {i + 1}/{args.pairs}: bench/run.py failed in {sides[side]} "
+                  f"(exit {code}):\n{stderr}", file=sys.stderr)
+            break
         pair["rel_change"] = {m: pair["change"][m] / pair["parent"][m] - 1 for m in METRICS}
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs}: wall_s {pair['parent']['wall_s']:.3f} -> "
@@ -97,15 +111,18 @@ def main(argv=None):
                     "cpus": os.cpu_count()},
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "pairs": pairs,
-        "summary": summary(pairs),
+        "summary": summary(pairs) if pairs else None,
     }
+    if failure:
+        result["failure"] = failure
     text = json.dumps(result, indent=1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return 1 if failure else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

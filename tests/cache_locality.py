@@ -76,7 +76,8 @@ def locality(argv) -> dict:
     def counted_middle(qbg, t, sources):
         out = middle(qbg, t, sources)
         heads["passes"] += 1
-        heads["sources"] += len(sources)
+        heads["sources"] += sum(1 for counts in sources.values()
+                                for c in counts.values() if c)
         heads["middle"] += sum(map(len, out.values()))
         return out
 

@@ -10,7 +10,8 @@ the same digest iff every command's output is byte-identical:
     PYTHONPATH=<other checkout>/src python3 tests/cli_identity.py
 
 With --each it also prints one line per run, its own digest and its
-arguments, for a diff of two checkouts.
+arguments, for a diff of two checkouts.  ``test_cli_identity.py`` checks
+the digest in the test suite.
 
 The commands, at ranks 2 and 3: ``verify`` for each variant alone and all
 four together, in text, JSON and LaTeX, with and without a nonzero --xi;

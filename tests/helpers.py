@@ -6,6 +6,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from qalcove import expansions, verify
 from qalcove.alcove import (
@@ -685,11 +686,12 @@ def display_block(qbg, base, kind, j, extra, qexp, mu):
 
 def expand_combo(qbg, combo):
     """The combination-level ``expand_to_base``: every V_y(lam +- eps_k) of a
-    ``DemazureCombo`` rewritten through ``chevalley_expand`` into a reduced
-    ``DemazureCombo`` at the base weight, one ``folded`` entry per product of
-    a numerator monomial and a record entry.  Shift-0 symbols pass through.
-    It reaches ``chevalley_expand`` through the module, so a monkeypatched
-    expansion is seen here as it is by the library."""
+    ``DemazureCombo`` rewritten through its ``chevalley_record`` into a
+    reduced ``DemazureCombo`` at the base weight, one ``folded`` entry per
+    product of a numerator monomial and a record entry.  Shift-0 symbols pass
+    through.  The record is the library's ``expand_to_base`` of the one
+    symbol, reached through the module, so a monkeypatched pass is seen here
+    as it is by the library."""
     bias = packed_words(combo.n)[0]
     zero = zero_vec(combo.n)
 
@@ -701,7 +703,7 @@ def expand_combo(qbg, combo):
                     yield ((y, mu), rc.atoms), k1, c1
                 continue
             k, sign = expansions._mu_index(mu)
-            chev = expansions.chevalley_expand(qbg, y, sign, k)
+            chev = chevalley_record(qbg, y, sign, k)
             atoms = tuple(sorted(chev.atoms + rc.atoms))
             for end, k2, c2 in zip(chev.ends, chev.keys, chev.counts):
                 sym = ((end, zero), atoms)
@@ -793,8 +795,49 @@ def term_stream(build, *args):
 # --- the Chevalley records that heads and tails replaced ---------------------
 
 
+class ChevalleyRecord(NamedTuple):
+    """gch V_w(lam +- eps_k) as flat entries over one shared denominator.
+
+    Entry i stands for counts[i] q^k x^a e^nu / prod(atoms) gch V_{ends[i]}(lam),
+    where keys[i] is the packed monomial q^k x^a e^nu.  Each (end, key)
+    occurs once and no count is zero.
+    """
+
+    n: int
+    atoms: tuple[int, ...]
+    ends: tuple
+    keys: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def combo(self):
+        """The reduced combination of the entries."""
+        zero = zero_vec(self.n)
+        return DemazureCombo.folded(self.n, (
+            (((end, zero), self.atoms), key, c)
+            for end, key, c in zip(self.ends, self.keys, self.counts)))
+
+
+def _record(n, atoms, kept):
+    ends, keys, counts = zip(*kept) if kept else ((), (), ())
+    return ChevalleyRecord(n, atoms, ends, keys, counts)
+
+
+def chevalley_record(qbg, w, sign, k):
+    """The unreduced record that ``chevalley_expand`` reduces: the nonzero
+    buckets of the library's ``expand_to_base`` of the one symbol
+    gch V_w(lam +- eps_k), whose buckets share one atom tuple."""
+    n = qbg.n
+    t, zero = k if sign == "+" else -k, zero_vec(n)
+    acc = expansions.expand_to_base(
+        qbg, {}, [(((w, eps_vec(t, n)), ()), pack(n, (0, zero, zero)), 1)])
+    (atoms,) = {atoms for _, atoms in acc}
+    kept = [(y, key, c) for ((y, _), _), bucket in acc.items()
+            for key, c in bucket.items() if c]
+    return _record(n, atoms, kept)
+
+
 def oracle_chevalley_sum(qbg, w, t):
-    """The sum of ``chevalley_expand`` for mu = eps_t, counted per (end, key).
+    """The record of gch V_w(lam + eps_t), counted per (end, key).
 
     The summand of (A_1, B) is (-1)^{|B|} times the monomial of A_1,
     q^{<eps_{-t}, down(A_1)>} x^{-down(A_1)} e^{ed(A_1) mu}, times the
@@ -828,8 +871,7 @@ def oracle_chevalley_sum(qbg, w, t):
             acc[entry] = acc.get(entry, 0) + (-1 if len(B.positions) % 2 else 1)
     check_packed(n, seen)
     kept = [(end, p, c) for (end, p), c in acc.items() if c]
-    ends, keys, counts = zip(*kept) if kept else ((), (), ())
-    return expansions.ChevalleyExpansion(n, (atom,) if atom else (), ends, keys, counts)
+    return _record(n, (atom,) if atom else (), kept)
 
 
 def oracle_head(qbg, y, t):
@@ -855,24 +897,26 @@ def oracle_head(qbg, y, t):
 
 def oracle_middle(qbg, t, sources, heads=None):
     """The nonzero middle tally of ``expand_to_base`` as it was built before
-    the forward pass: each nonzero source (y, key) adds c times every entry
-    of ``oracle_head(y, t)``, memoized in ``heads``, into a tally keyed
-    (ed(A_1), key + head key).  Returns {(end, key): count} without zero
-    counts; ValueError if a middle key, kept or not, left the packed range.
+    the forward pass: each nonzero count c of the sources {y: {key: c}} adds
+    c times every entry of ``oracle_head(y, t)``, memoized in ``heads``, into
+    a tally keyed (ed(A_1), key + head key).  Returns {(end, key): count}
+    without zero counts; ValueError if a middle key, kept or not, left the
+    packed range.
     """
     heads = {} if heads is None else heads
     n = qbg.n
     bias = packed_words(n)[0]
     middle = {}
-    for (y, k1), c in sources.items():
-        if c:
-            head = heads.get((y, t))
-            if head is None:
-                head = heads[(y, t)] = oracle_head(qbg, y, t)
-            k1 -= bias  # see packed_words
-            for u, k2 in zip(*head):
-                key = u, k1 + k2
-                middle[key] = middle.get(key, 0) + c
+    for y, counts in sources.items():
+        for k1, c in counts.items():
+            if c:
+                head = heads.get((y, t))
+                if head is None:
+                    head = heads[(y, t)] = oracle_head(qbg, y, t)
+                k1 -= bias  # see packed_words
+                for u, k2 in zip(*head):
+                    key = u, k1 + k2
+                    middle[key] = middle.get(key, 0) + c
     seen = 0
     for _, k2 in middle:
         seen |= k2

@@ -19,13 +19,13 @@ import pytest
 
 from helpers import (
     buckets_of,
+    chevalley_record,
     nonzero_buckets,
     oracle_expand_to_base,
     oracle_record,
 )
 from qalcove.expansions import (
     _block,
-    chevalley_expand,
     conj_second_blocks,
     expand_to_base,
     ic_first_summed,
@@ -97,7 +97,7 @@ def _check_records(qbg, elements):
     for w in elements:
         for k in range(1, qbg.n + 1):
             for sign in "+-":
-                got = chevalley_expand(qbg, w, sign, k)
+                got = chevalley_record(qbg, w, sign, k)
                 want = oracle_record(qbg, w, sign, k, records)
                 assert got.n == want.n and got.atoms == want.atoms
                 assert _entries(got) == _entries(want)

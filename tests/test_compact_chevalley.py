@@ -6,18 +6,13 @@ cached walks of the blocks' gamma and theta chains.  So after a sweep the
 QBG holds no dict but its length table and ``_adm_cache``, whose values
 reach only lists, tuples and ints.  A ``Coeff``, ``RationalCoeff`` or dict
 in a cached value would cost hundreds of bytes per symbol again.
-``cache_bytes`` counts what the walk cache costs; run as a script, this
-module prints that count after a serial, seeded ``qalcove verify`` sample:
-
-    PYTHONPATH=src python3 tests/test_compact_chevalley.py --rank 5 --sample 1500 --seed 5
+``cache_bytes`` counts what the walk cache costs; ``tests/cache_locality.py``
+reports it after a sweep, with ``--peak`` for peak memory too.
 
 The expansions are also checked against the combination-level path they
 replaced, ``combo_expand_to_base``.
 """
 
-import argparse
-import json
-import os
 import random
 import sys
 
@@ -106,7 +101,7 @@ def combo_expand_to_base(qbg, combo):
                     yield ((y, mu), rc.atoms), k1, c1
                 continue
             k, sign = _mu_index(mu)
-            for key2, rc2 in chevalley_expand(qbg, y, sign, k).combo().terms.items():
+            for key2, rc2 in chevalley_expand(qbg, y, sign, k).terms.items():
                 sym = (key2, tuple(sorted(rc2.atoms + rc.atoms)))
                 for k2, c2 in rc2.numer.packed.items():
                     for k1, c1 in numer:
@@ -134,21 +129,3 @@ def test_expand_to_base_matches_combo_path(qbg2, qbg3, qbg4):
     for w in random.Random(44).sample(qbg4.group, 12):
         _check_expanded(qbg4, w, (0, 0, 0, 0))
 
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rank", type=int, default=5)
-    ap.add_argument("--sample", type=int, default=1500)
-    ap.add_argument("--seed", type=int, default=5)
-    args = ap.parse_args(argv)
-    code = cli.main(["verify", "--rank", str(args.rank), "--sample", str(args.sample),
-                     "--seed", str(args.seed), "--format", "json", "--out", os.devnull])
-    qbg = cli._WORKER_QBG
-    size, subsets = cache_bytes(qbg)
-    print(json.dumps({"exit_code": code, "walks": len(qbg._adm_cache),
-                      "subsets": subsets, "bytes": size,
-                      "bytes_per_subset": round(size / subsets, 1)}))
-
-
-if __name__ == "__main__":
-    main()

@@ -13,6 +13,7 @@ from helpers import (
     add_symbol,
     add_term,
     atom_coeff,
+    chevalley_record,
     combo_sum,
     display_block,
     expand_buckets,
@@ -106,7 +107,7 @@ def test_chevalley_empty_subset_term(qbg3):
     # e^{w eps_k} over the single atom.
     w = parse_word("s2 s1", 3)
     for k in (1, 2, 3):
-        combo = chevalley_expand(qbg3, w, "+", k).combo()
+        combo = chevalley_expand(qbg3, w, "+", k)
         rc = combo.terms[(w, zero_vec(3))]
         want = RationalCoeff(
             monomial(3, 1, nu=act(w, eps_vec(k, 3))), (k,))
@@ -115,15 +116,15 @@ def test_chevalley_empty_subset_term(qbg3):
 
 def test_chevalley_minus_atom_indices(qbg3):
     w = parse_word("s1 s3", 3)
-    assert chevalley_expand(qbg3, w, "-", 1).atoms == ()
-    for rc in chevalley_expand(qbg3, w, "-", 1).combo().terms.values():
+    assert chevalley_record(qbg3, w, "-", 1).atoms == ()
+    for rc in chevalley_expand(qbg3, w, "-", 1).terms.values():
         assert rc.atoms == ()
     for k in (2, 3):
-        assert chevalley_expand(qbg3, w, "-", k).atoms == (k - 1,)
-        assert chevalley_expand(qbg3, w, "+", k).atoms == (k,)
-        for rc in chevalley_expand(qbg3, w, "-", k).combo().terms.values():
+        assert chevalley_record(qbg3, w, "-", k).atoms == (k - 1,)
+        assert chevalley_record(qbg3, w, "+", k).atoms == (k,)
+        for rc in chevalley_expand(qbg3, w, "-", k).terms.values():
             assert set(rc.atoms) <= {k - 1}
-        for rc in chevalley_expand(qbg3, w, "+", k).combo().terms.values():
+        for rc in chevalley_expand(qbg3, w, "+", k).terms.values():
             assert set(rc.atoms) <= {k}
 
 
@@ -144,7 +145,7 @@ def test_plus_then_minus_roundtrip(qbg3):
               (1, 2, 3), (-3, 1, -2)]:
         for k in (1, 2, 3):
             shift = vec_neg(eps_vec(k, n))
-            plus = chevalley_expand(qbg3, w, "+", k).combo()
+            plus = chevalley_expand(qbg3, w, "+", k)
             atom = RationalCoeff(atom_coeff(n, k))
             rhs = DemazureCombo(n)
             for (y, mu), rc in plus.terms.items():
@@ -152,7 +153,7 @@ def test_plus_then_minus_roundtrip(qbg3):
                 cleared = rc * atom
                 assert cleared.atoms == ()
                 poly = shift_lambda(cleared.numer, shift)
-                for key, rc2 in chevalley_expand(qbg3, y, "-", k).combo().terms.items():
+                for key, rc2 in chevalley_expand(qbg3, y, "-", k).terms.items():
                     add_term(rhs, key, rc2 * poly)
             lhs = DemazureCombo(n)
             add_symbol(lhs, (w, zero_vec(n)), zero_vec(n),

@@ -1,8 +1,8 @@
 """The one fold that builds every DemazureCombo, against one-at-a-time sums.
 
 ``DemazureCombo.folded`` builds every combination: the inverse-form
-right-hand sides, the key sides, the Chevalley expansions (a
-``ChevalleyExpansion`` through its ``combo``), the integer buckets of
+right-hand sides, the key sides, the Chevalley expansions (the record
+``helpers.chevalley_record`` through its ``combo``), the integer buckets of
 ``expand_to_base`` shown through ``from_buckets``, differences and
 denominator clearing.  ``from_buckets`` adds the buckets of a symbol over
 their common atoms with ``times_atom`` and reduces once.  Each oracle below
@@ -22,6 +22,7 @@ from helpers import (
     add_symbol,
     add_term,
     atom_coeff,
+    chevalley_record,
     coeff,
     coeff_terms,
     expand_buckets,
@@ -115,11 +116,13 @@ def assert_same(a, b):
     assert a.to_json() == b.to_json()
 
 
-def assert_record(record, oracle):
-    """The record's combination is the oracle's; its entries are distinct
-    (end, key) pairs with nonzero counts."""
+def assert_record(qbg, w, sign, k, oracle):
+    """``chevalley_expand`` gives the oracle's combination, and so does the
+    record it reduces, whose entries are distinct (end, key) pairs with
+    nonzero counts."""
+    assert_same(chevalley_expand(qbg, w, sign, k), oracle)
+    record = chevalley_record(qbg, w, sign, k)
     assert_same(record.combo(), oracle)
-    assert record.to_json() == oracle.to_json()
     assert len(record.ends) == len(record.keys) == len(record.counts)
     assert all(record.counts)
     assert len(set(zip(record.ends, record.keys))) == len(record.keys)
@@ -154,8 +157,7 @@ def test_chevalley_expand_matches_oracle(qbg2, qbg3):
         for w in qbg.group:
             for k in range(1, qbg.n + 1):
                 for sign in "+-":
-                    assert_record(chevalley_expand(qbg, w, sign, k),
-                                  chevalley_oracle(qbg, w, sign, k, cache))
+                    assert_record(qbg, w, sign, k, chevalley_oracle(qbg, w, sign, k, cache))
 
 
 def test_sweep_caches_follow_the_cache_rules():
@@ -176,8 +178,7 @@ def test_sweep_caches_follow_the_cache_rules():
     for w in qbg.group:
         for k in range(1, 4):
             for sign in "+-":
-                assert_record(chevalley_expand(qbg, w, sign, k),
-                              chevalley_oracle(qbg, w, sign, k, cache))
+                assert_record(qbg, w, sign, k, chevalley_oracle(qbg, w, sign, k, cache))
     assert {chain.kind for _, chain in qbg._adm_cache} == {"gamma", "theta"}
     assert len(qbg._adm_cache) == stored  # every tail walk was cached already
 
@@ -307,7 +308,7 @@ def _expand_with(monkeypatch, numer, factor, *passing):
     each key checked by the pass's real guard.  The tail from V_{12} for
     the letter -1 walks the empty Theta_1, so each expansion is numer factor
     V_{12}(lam) over the atom 1.  The combination-level oracle, which reads
-    the same pass through ``chevalley_expand``, must agree."""
+    the same pass through ``chevalley_record``, must agree."""
     assert len(factor.packed) == 1 and set(factor.packed.values()) == {1}
     patch_head_plan(monkeypatch, (), next(iter(factor.packed)) - packed_words(2)[0])
     combo = DemazureCombo(2)
@@ -392,7 +393,7 @@ def test_chevalley_sum_out_of_range_raises(edge, monkeypatch):
     monkeypatch.setattr(expansions, "_head_plan",
                         lru_cache(maxsize=None)(expansions._head_plan.__wrapped__))
     qbg, w, base = QBG(2), (-1, 2), pack(2, (0, (0, 0), (0, 0)))
-    middle = expansions._middle(qbg, 1, {(w, base): 1})
+    middle = expansions._middle(qbg, 1, {w: {base: 1}})
     x_1 = sorted(unpack(2, key)[1][0] for counts in middle.values() for key in counts)
     assert x_1 == sorted([0, edge, edge, edge])
     with pytest.raises(ValueError, match="packed range"):
@@ -420,8 +421,7 @@ def test_chevalley_expand_matches_oracle_rank4_sampled(qbg4):
     for w in random.Random(41).sample(qbg4.group, 24):
         for k in range(1, 5):
             for sign in "+-":
-                assert_record(chevalley_expand(qbg4, w, sign, k),
-                              chevalley_oracle(qbg4, w, sign, k, cache))
+                assert_record(qbg4, w, sign, k, chevalley_oracle(qbg4, w, sign, k, cache))
 
 
 def test_repeated_atom_raises(qbg3, monkeypatch):

@@ -50,8 +50,8 @@ def test_single_sources_exhaustive(qbg, request):
     for t in _letters(n):
         heads = {}
         for y in qbg.group:
-            for c in (1, -2):
-                assert_pass_matches_oracle(qbg, t, {(y, key): c}, heads)
+            for c in (1, -2, 0):
+                assert_pass_matches_oracle(qbg, t, {y: {key: c}}, heads)
 
 
 def random_sources(rng, qbg, t):
@@ -66,11 +66,11 @@ def random_sources(rng, qbg, t):
     for y in rng.sample(qbg.group, 12):
         for key in rng.sample(pool, rng.randint(1, 3)):
             c = rng.choice((-2, -1, 1, 3))
-            sources[(y, key)] = c
+            sources.setdefault(y, {})[key] = c
             if steps and rng.random() < 0.5:
                 prod = rng.choice(steps)[0]
-                sources[(prod(doubled(y)), key)] = -c
-    return {yk: c for yk, c in sources.items() if c}
+                sources.setdefault(prod(doubled(y)), {})[key] = -c
+    return sources
 
 
 @pytest.mark.parametrize("qbg", ["qbg4", "qbg5"])
@@ -85,9 +85,10 @@ def test_random_groups(qbg, request):
             sources = random_sources(rng, qbg, t)
             assert_pass_matches_oracle(qbg, t, sources, heads)
             tally = {}
-            for (y, k1), c in sources.items():
-                for u, k2 in zip(*heads[(y, t)]):
-                    tally[(u, k1 + k2 - bias)] = tally.get((u, k1 + k2 - bias), 0) + c
+            for y, counts in sources.items():
+                for k1, c in counts.items():
+                    for u, k2 in zip(*heads[(y, t)]):
+                        tally[(u, k1 + k2 - bias)] = tally.get((u, k1 + k2 - bias), 0) + c
             cancelled += 0 in tally.values()
     # most groups have head entries that cancel
     assert cancelled > 2 * qbg.n

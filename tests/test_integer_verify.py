@@ -9,8 +9,11 @@ shifted side through the combination-level ``expand_combo``, compared with
 coefficient; a failing one shows the oracle's residual byte for byte.
 """
 
+import io
+import json
 import random
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -26,7 +29,7 @@ from helpers import (
     neg,
 )
 from qalcove import expansions, verify
-from qalcove.cli import VERIFIERS
+from qalcove.cli import VERIFIERS, main
 from qalcove.expansions import (
     expand_to_base,
     ic_lhs,
@@ -164,12 +167,14 @@ def test_minus_expansion_fault_fails_the_second_key_identity_only(monkeypatch):
         out = middle(qbg, t, sources)
         if t < 0:
             bias = packed_words(qbg.n)[0]
-            for (y, key), c in sources.items():
-                counts = out.setdefault(y, {})
-                key += expansions._eps_key(qbg.n, image(y, t)) - bias
-                counts[key] = counts.get(key, 0) - c
-                if not counts[key]:
-                    del counts[key]
+            for y, source in sources.items():
+                e = expansions._eps_key(qbg.n, image(y, t)) - bias
+                for key, c in source.items():
+                    if c:
+                        counts = out.setdefault(y, {})
+                        counts[key + e] = counts.get(key + e, 0) - c
+                        if not counts[key + e]:
+                            del counts[key + e]
         return out
 
     monkeypatch.setattr(expansions, "_middle", faulty)
@@ -188,6 +193,23 @@ def test_minus_expansion_fault_fails_the_second_key_identity_only(monkeypatch):
         assert got.residual == second.residual
         count += 1
     assert count == 144
+
+
+def test_decider_disagreement_fails(monkeypatch):
+    """With ``cancels`` patched to refuse every identity, the reduced sides
+    of each are still equal: the two deciders disagree, so every report
+    fails with the zero difference as its residual, and verify exits 1."""
+    monkeypatch.setattr(verify, "cancels", lambda n, acc: False)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--rank", "2", "--variant", "first,second,key,cf",
+                     "--format", "json"])
+    assert code == 1
+    reports = json.loads(out.getvalue())["reports"]
+    assert len(reports) == 64
+    for report in reports:
+        assert report["status"] == "failed"
+        assert report["residual"] == [] and report["residual_latex"] == "0"
 
 
 def test_no_rationals_on_the_verified_path(monkeypatch):

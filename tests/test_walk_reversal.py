@@ -18,17 +18,17 @@ the '-' record of -e at k (over Theta*_k) and A_1 its second (over
 Gamma_k(k)), ending at -w.  The e-part e^{eps_{y_1(k)}} and the x-part
 x^{-down(A_1) - down(B)} carry over; the q-part q^{<eps_k, down(B)>} and
 the sign (-1)^{|A_1|} are those of the '-' record.  Rebuilding every '-'
-record this way from direct walks is an oracle for ``chevalley_expand``,
-which reads the '-' heads and their tails, that shares none of its
-bookkeeping.
+record this way from direct walks is an oracle for the record that
+``chevalley_expand`` reduces (``helpers.chevalley_record``, which reads the
+'-' heads and their tails) that shares none of its bookkeeping.
 """
 
 import random
 
 import pytest
 
+from helpers import chevalley_record
 from qalcove.alcove import admissible_subsets, make_chain, subset_stats
-from qalcove.expansions import chevalley_expand
 from qalcove.qbg import QBG
 from qalcove.ring import pack
 from qalcove.typec import alpha_coords, eps_vec, image, pair, vec_add
@@ -103,7 +103,7 @@ def _check_transposed(qbg, k, elements):
     returns how many were compared."""
     transposed = _transposed_records(qbg, k)
     for y in elements:
-        record = chevalley_expand(qbg, y, "-", k)
+        record = chevalley_record(qbg, y, "-", k)
         assert record.atoms == ((k - 1,) if k > 1 else ())
         assert (dict(zip(zip(record.ends, record.keys), record.counts))
                 == transposed.get(y, {})), (y, k)
