@@ -403,17 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            path = argv[i + 1] if i + 1 < len(argv) else ""
-            rest = argv[:i] + argv[i + 2:]
-            break
-        if tok.startswith("--config="):
-            path = tok.partition("=")[2]
-            rest = argv[:i] + argv[i + 1:]
-            break
-    else:
+    found = [i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"]
+    if not found:
         return argv
+    if len(found) > 1:
+        raise ValueError("--config may be given only once")
+    i = found[0]
+    if argv[i] == "--config":
+        path = argv[i + 1] if i + 1 < len(argv) else ""
+        rest = argv[:i] + argv[i + 2:]
+    else:
+        path = argv[i].partition("=")[2]
+        rest = argv[:i] + argv[i + 1:]
     if not path:
         raise ValueError("--config needs a path")
     try:

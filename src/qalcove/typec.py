@@ -19,8 +19,8 @@ Conventions, fixed once and used everywhere:
 3
 >>> act((3, 2, 1), (0, 0, 1))
 (1, 0, 0)
->>> reflect((1, 1, 0), (1, 0, 0))   # s_{eps1+eps2} maps eps_1 to -eps_2
-(0, -1, 0)
+>>> refl_window((1, 1, 0))   # s_{eps1+eps2} swaps 1 with 2 bar, 2 with 1 bar
+(-2, -1, 3)
 """
 
 from __future__ import annotations
@@ -89,17 +89,11 @@ def root_abs(alpha: Vec) -> Vec:
 
 
 def positive_roots(n: int) -> list[Vec]:
-    """All n^2 positive roots: eps_i-eps_j, eps_i+eps_j (i<j), 2eps_k."""
-    out = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            out.append(vec_sub(eps_vec(i, n), eps_vec(j, n)))
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            out.append(vec_add(eps_vec(i, n), eps_vec(j, n)))
-    for k in range(1, n + 1):
-        out.append(tuple(2 if j == k else 0 for j in range(1, n + 1)))
-    return out
+    """All n^2 positive roots: (i,j) and (i,-j) for i<j, then (k,-k)."""
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return ([root_from_letters(i, j, n) for i, j in pairs]
+            + [root_from_letters(i, -j, n) for i, j in pairs]
+            + [root_from_letters(k, -k, n) for k in range(1, n + 1)])
 
 
 def root_from_letters(i: int, j: int, n: int) -> Vec:
@@ -132,19 +126,14 @@ def root_str(alpha: Vec) -> str:
 
 
 def simple_root(i: int, n: int) -> Vec:
+    """alpha_i = (i,i+1) for i<n and alpha_n = (n,-n)."""
     if i < n:
-        return vec_sub(eps_vec(i, n), eps_vec(i + 1, n))
-    return tuple(2 if j == n else 0 for j in range(1, n + 1))
+        return root_from_letters(i, i + 1, n)
+    return root_from_letters(n, -n, n)
 
 
 def rho(n: int) -> Vec:
     return tuple(range(n, 0, -1))
-
-
-def reflect(alpha: Vec, lam: Vec) -> Vec:
-    """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
-    c = pair(lam, coroot(alpha))
-    return tuple(a - c * b for a, b in zip(lam, alpha, strict=True))
 
 
 def alpha_coords(cv: Vec) -> Vec:
@@ -216,25 +205,16 @@ def inv(w: Window) -> Window:
 
 
 def simple_refl(i: int, n: int) -> Window:
-    w = list(range(1, n + 1))
-    if i < n:
-        w[i - 1], w[i] = w[i], w[i - 1]
-    else:
-        w[n - 1] = -n
-    return tuple(w)
+    return refl_window(simple_root(i, n))
 
 
 @lru_cache(maxsize=None)
 def refl_window(alpha: Vec) -> Window:
-    """s_alpha as a signed permutation."""
-    n = len(alpha)
-    out = []
-    for k in range(1, n + 1):
-        v = reflect(alpha, eps_vec(k, n))
-        nz = [(m + 1, c) for m, c in enumerate(v) if c]
-        (m, c), = nz
-        out.append(m if c > 0 else -m)
-    return tuple(out)
+    """s_alpha as a signed permutation: s_(i,j) swaps the letters i <-> j and
+    -i <-> -j and fixes every other letter."""
+    i, j = root_letters(root_abs(alpha))
+    swap = {i: j, j: i, -i: -j, -j: -i}
+    return tuple(swap.get(a, a) for a in range(1, len(alpha) + 1))
 
 
 def doubled(u: Window) -> tuple[int, ...]:

@@ -18,7 +18,10 @@ four together, in text, JSON and LaTeX, with and without a nonzero --xi;
 ``scan-conjecture`` in text and JSON; and ``expand`` for every element,
 every m and every --variant, with each --l of conj and the bad --l 0, once
 in text at xi = 0 and once at a nonzero xi (LaTeX at rank 2, JSON at 3).
-Last, a rank-4 ``verify --sample 300`` of all four variants in JSON.
+Then a rank-4 ``verify --sample 300`` of all four variants in JSON.  Then
+the direct form ``expand --k`` at ranks 2 and 3 for every element, every k
+and both signs, in text and again in LaTeX at rank 2 or JSON at rank 3;
+``qbg`` at ranks 1-4 in text and JSON; and last ``tables --rank 3``.
 """
 
 import contextlib
@@ -58,6 +61,18 @@ def commands():
                     yield argv + ["--xi", XI[n], "--format", "latex" if n == 2 else "json"]
     yield ["verify", "--rank", "4", "--variant", "first,second,key,cf",
            "--sample", "300", "--seed", "1", "--format", "json"]
+    for n in (2, 3):
+        for w in weyl_group(n):
+            for k in range(1, n + 1):
+                for sign in ("plus", "minus"):
+                    argv = ["expand", "--rank", str(n), "--w", window_str(w),
+                            "--k", str(k), "--sign", sign]
+                    yield argv
+                    yield argv + ["--format", "latex" if n == 2 else "json"]
+    for n in (1, 2, 3, 4):
+        for fmt in ("text", "json"):
+            yield ["qbg", "--rank", str(n), "--format", fmt]
+    yield ["tables", "--rank", "3"]
 
 
 def run(argv: list[str]) -> bytes:

@@ -46,6 +46,7 @@ from qalcove.typec import (
     root_letters,
     simple_root,
     vec_add,
+    vec_sub,
     zero_vec,
 )
 
@@ -423,6 +424,55 @@ def oracle_inverse_terms(qbg, x, src, dsts, chained):
 def oracle_second_dsts(n, m, l):
     """Chained targets of the second form: -(m+1)..-n, then 1..l."""
     return [-j for j in range(m + 1, n + 1)] + list(range(1, l + 1))
+
+
+# --- the vector forms the letter rules of typec replaced --------------------
+
+def reflect(alpha, lam):
+    """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
+    c = pair(lam, coroot(alpha))
+    return tuple(a - c * b for a, b in zip(lam, alpha, strict=True))
+
+
+def oracle_positive_roots(n):
+    """All n^2 positive roots: eps_i-eps_j, eps_i+eps_j (i<j), 2eps_k."""
+    out = []
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            out.append(vec_sub(eps_vec(i, n), eps_vec(j, n)))
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            out.append(vec_add(eps_vec(i, n), eps_vec(j, n)))
+    for k in range(1, n + 1):
+        out.append(tuple(2 if j == k else 0 for j in range(1, n + 1)))
+    return out
+
+
+def oracle_simple_root(i, n):
+    if i < n:
+        return vec_sub(eps_vec(i, n), eps_vec(i + 1, n))
+    return tuple(2 if j == n else 0 for j in range(1, n + 1))
+
+
+def oracle_simple_refl(i, n):
+    w = list(range(1, n + 1))
+    if i < n:
+        w[i - 1], w[i] = w[i], w[i - 1]
+    else:
+        w[n - 1] = -n
+    return tuple(w)
+
+
+def oracle_refl_window(alpha):
+    """s_alpha as a signed permutation, read off the images of eps_1..eps_n."""
+    n = len(alpha)
+    out = []
+    for k in range(1, n + 1):
+        v = reflect(alpha, eps_vec(k, n))
+        nz = [(m + 1, c) for m, c in enumerate(v) if c]
+        (m, c), = nz
+        out.append(m if c > 0 else -m)
+    return tuple(out)
 
 
 # --- oracles with no caller in the library ----------------------------------

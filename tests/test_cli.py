@@ -581,6 +581,29 @@ def test_config_without_path_is_exit_2(capsys):
     assert "--config" in err
 
 
+CONFIG_FORMS = {"spaced": lambda path: ["--config", path],
+                "equals": lambda path: [f"--config={path}"]}
+
+
+@pytest.mark.parametrize("form_a", CONFIG_FORMS)
+@pytest.mark.parametrize("form_b", CONFIG_FORMS)
+@pytest.mark.parametrize("where", ["both before", "both after", "split"])
+def test_repeated_config_is_exit_2(tmp_path, capsys, form_a, form_b, where):
+    # a second --config is refused, neither dropped nor read as the subcommand
+    (tmp_path / "a").write_text("rank=2\n")
+    (tmp_path / "b").write_text("format=json\n")
+    a = CONFIG_FORMS[form_a](str(tmp_path / "a"))
+    b = CONFIG_FORMS[form_b](str(tmp_path / "b"))
+    out_file = tmp_path / "out.txt"
+    cmd = ["qbg", "--out", str(out_file)]
+    argv = {"both before": a + b + cmd, "both after": cmd + a + b,
+            "split": a + cmd + b}[where]
+    code, out, err = run(argv, capsys)
+    _assert_bad_input(code, out, err)
+    assert "--config" in err
+    assert not out_file.exists()
+
+
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     code, out, err = run(["--config", str(missing), "verify", "--rank", "2"],

@@ -2,7 +2,14 @@
 
 import pytest
 
-from helpers import coroot_from_alpha_coords
+from helpers import (
+    coroot_from_alpha_coords,
+    oracle_positive_roots,
+    oracle_refl_window,
+    oracle_simple_refl,
+    oracle_simple_root,
+    reflect,
+)
 from qalcove.typec import (
     act,
     alpha_coords,
@@ -21,7 +28,6 @@ from qalcove.typec import (
     parse_word,
     positive_roots,
     reduced_word,
-    reflect,
     refl_window,
     rho,
     root_from_letters,
@@ -144,6 +150,19 @@ def test_refl_window():
             s = refl_window(a)
             assert mul(s, s) == identity_w(n)
             assert act(s, a) == tuple(-c for c in a)
+
+
+def test_letter_rules_match_the_vector_oracles():
+    # the roots, simple roots and reflections built from letter notation are
+    # the vectors and windows that eps_i - eps_j and s_alpha(eps_k) give
+    for n in range(1, 8):
+        assert positive_roots(n) == oracle_positive_roots(n)
+        for a in oracle_positive_roots(n):
+            for b in (a, tuple(-c for c in a)):
+                assert refl_window(b) == oracle_refl_window(b), b
+        for i in range(1, n + 1):
+            assert simple_root(i, n) == oracle_simple_root(i, n), (i, n)
+            assert simple_refl(i, n) == oracle_simple_refl(i, n), (i, n)
 
 
 def test_alpha_coords():
